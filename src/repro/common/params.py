@@ -89,20 +89,6 @@ class SystemConfig:
     #: conventional HTM systems the paper compares against.
     flatten: bool = False
 
-    #: Use the naive O(n_cpus × levels) full-scan conflict detectors
-    #: instead of the reverse-index ones.  Functionally identical
-    #: (bit-for-bit: same violation streams, cycle counts, memory
-    #: images) — kept as the differential-testing reference and the
-    #: bench harness's baseline (docs/performance.md).
-    naive_detection: bool = False
-
-    #: Use the naive isinstance-chain op interpreter (fresh ExecOutcome
-    #: per instruction) instead of the per-op-type dispatch table with
-    #: interned outcomes.  Functionally identical bit-for-bit — kept as
-    #: the differential-testing reference and the bench harness's in-run
-    #: wall-clock baseline (docs/performance.md).
-    naive_interp: bool = False
-
     #: Model the cost of the lazy read-/write-set merge at closed-nested
     #: commits (cycles charged per merged line when the merge is forced).
     merge_cycles_per_line: int = 1
@@ -163,10 +149,22 @@ class SystemConfig:
             raise ConfigError("max_nesting must be >= 1")
         if self.coherence not in ("simple", "msi"):
             raise ConfigError(f"unknown coherence model {self.coherence!r}")
-        for field in ("l1_size", "l2_size"):
-            size = getattr(self, field)
-            if size % self.line_size:
-                raise ConfigError(f"{field} must be a multiple of line_size")
+        for field in ("line_size", "l1_size", "l1_assoc", "l2_size",
+                      "l2_assoc", "bus_width"):
+            if getattr(self, field) < 1:
+                raise ConfigError(f"{field} must be >= 1")
+        for level in ("l1", "l2"):
+            size = getattr(self, f"{level}_size")
+            assoc = getattr(self, f"{level}_assoc")
+            if size % (self.line_size * assoc):
+                raise ConfigError(
+                    f"{level}_size must be a multiple of "
+                    f"line_size x {level}_assoc")
+        for field in ("l1_latency", "l2_latency", "mem_latency",
+                      "bus_arbitration", "merge_cycles_per_line",
+                      "undo_cycles_per_entry", "syscall_cycles"):
+            if getattr(self, field) < 0:
+                raise ConfigError(f"{field} must be >= 0")
 
     def replace(self, **changes):
         """Return a copy of this configuration with ``changes`` applied."""

@@ -23,10 +23,9 @@ masks`` — so an access costs O(actual owners of that unit), not
 O(n_cpus × nesting levels).  The original full-scan implementations are
 kept verbatim as :class:`NaiveLazyDetector` / :class:`NaiveEagerDetector`:
 they are the differential-testing reference (``tests/
-test_differential_detectors.py``) and the baseline the bench harness
-measures speedups against (``config.naive_detection`` selects them).
-Both pairs must produce bit-for-bit identical violation streams, cycle
-counts, and final memory images.
+test_differential_detectors.py`` installs one as ``machine.htm.detector``
+in place of the indexed detector).  Both pairs must produce bit-for-bit
+identical violation streams, cycle counts, and final memory images.
 """
 
 from __future__ import annotations
@@ -319,19 +318,12 @@ class EagerDetector(EagerDetectorBase):
         return None
 
 
-def make_detector(config, states, stats, index=None):
-    """Build the detector selected by ``config.detection``.
+def make_detector(config, states, stats, index):
+    """Build the indexed detector selected by ``config.detection``.
 
-    The indexed detectors need the machine-wide reverse index; without
-    one (bare construction in unit tests), or when
-    ``config.naive_detection`` asks for the reference path, the naive
-    full-scan detectors are used instead.
+    ``index`` is the machine-wide reverse index the detector probes.
     """
     from repro.common.params import LAZY
 
-    naive = index is None or getattr(config, "naive_detection", False)
-    if config.detection == LAZY:
-        cls = NaiveLazyDetector if naive else LazyDetector
-    else:
-        cls = NaiveEagerDetector if naive else EagerDetector
+    cls = LazyDetector if config.detection == LAZY else EagerDetector
     return cls(config, states, stats, index)

@@ -19,11 +19,9 @@ cheap:
 * **Dispatch table.**  Each op type maps to a bound handler method in a
   per-CPU dict built once in ``__init__`` from the
   :data:`repro.sim.ops.ALL_OPS` vocabulary; executing an op is one dict
-  lookup on ``type(op)`` instead of a ~20-way ``isinstance`` chain.
-  Extension ops register through :func:`register_op_handler`; subclasses
-  of built-in ops (and any op registered after a Cpu was built) resolve
-  lazily through :meth:`Cpu._resolve_handler`, which falls back to the
-  retained reference chain (:meth:`Cpu._execute_chain`).
+  lookup on ``type(op)`` instead of a ~20-way ``isinstance`` chain.  The
+  lookup is by exact type: anything else — a subclass of a core op
+  included — is rejected as "not an operation".
 
 * **Outcome interning.**  Ops whose result carries no value return shared
   immutable :class:`ExecOutcome` instances (the STALL singleton, the
@@ -31,10 +29,10 @@ cheap:
   allocating a fresh object per instruction.  Only value-carrying
   outcomes (loads, commits, ...) still allocate.
 
-The pre-table interpreter survives as :meth:`Cpu._execute_chain` — it is
-the differential-testing reference and the bench harness's in-run naive
-baseline (``config.naive_interp``), exactly like ``naive_detection`` for
-the conflict detectors.
+The pre-table interpreter survives as :meth:`Cpu._execute_chain` — the
+differential-testing reference, exactly like the naive detectors in
+:mod:`repro.htm.conflict`.  Tests install it per CPU through the
+:attr:`Cpu.execute` slot (``cpu.execute = cpu._execute_chain_step``).
 """
 
 from __future__ import annotations
@@ -131,37 +129,6 @@ _IMLOAD_CACHE = {}
 _ALU_CACHE = {}
 
 
-# ---------------------------------------------------------------------------
-# Extension-op registration seam
-# ---------------------------------------------------------------------------
-
-#: Exact op type -> ``handler(cpu, op, now) -> ExecOutcome``.
-_EXTENSION_HANDLERS = {}
-
-
-def register_op_handler(op_cls, handler):
-    """Register an executor for an extension :class:`~repro.sim.ops.Op`.
-
-    ``handler(cpu, op, now)`` must return an :class:`ExecOutcome`.
-    Registration is by *exact* type.  Cpus built afterwards bind the
-    handler into their dispatch table up front; Cpus that already exist
-    pick it up lazily on the first executed instance.  Both interpreter
-    paths (table and reference chain) honour the registry, so extension
-    ops stay covered by the differential suite.
-    """
-    if not (isinstance(op_cls, type) and issubclass(op_cls, O.Op)):
-        raise IsaError(f"register_op_handler: {op_cls!r} is not an Op type")
-    if not callable(handler):
-        raise IsaError(f"register_op_handler: {handler!r} is not callable")
-    _EXTENSION_HANDLERS[op_cls] = handler
-
-
-def unregister_op_handler(op_cls):
-    """Remove an extension handler (no-op if absent).  Existing Cpus keep
-    their lazily-bound entry; new Cpus will reject the op again."""
-    _EXTENSION_HANDLERS.pop(op_cls, None)
-
-
 class Cpu:
     """One hardware thread of the simulated CMP."""
 
@@ -218,24 +185,12 @@ class Cpu:
         # shadow e.g. ``htm.validate``) working.
         self._htm = machine.htm
         self._mem = machine.memmodel
-        self._dispatch = self._build_dispatch()
+        self._dispatch = {op_cls: MethodType(func, self)
+                          for op_cls, func in _CORE_HANDLERS.items()}
         #: The public executor, held in a slot so instruments (the cycle
-        #: profiler) can shadow it per-CPU and restore it exactly.
-        #: ``naive_interp`` selects the retained reference chain — the
-        #: bench harness's in-run baseline.
-        if getattr(machine.config, "naive_interp", False):
-            self.execute = self._execute_chain_step
-        else:
-            self.execute = self._execute_step
-
-    def _build_dispatch(self):
-        """Bind one handler per op type (core vocabulary + extensions)."""
-        table = {}
-        for op_cls, func in _CORE_HANDLERS.items():
-            table[op_cls] = MethodType(func, self)
-        for op_cls, func in _EXTENSION_HANDLERS.items():
-            table[op_cls] = MethodType(func, self)
-        return table
+        #: profiler) and the differential tests can shadow it per-CPU and
+        #: restore it exactly.
+        self.execute = self._execute_step
 
     # ------------------------------------------------------------------
     # Program-facing op constructors (the "assembler")
@@ -345,7 +300,8 @@ class Cpu:
         """
         handler = self._dispatch.get(op.__class__)
         if handler is None:
-            handler = self._resolve_handler(op)
+            raise SimulationError(
+                f"cpu {self.cpu_id}: not an operation: {op!r}")
         outcome = handler(op, now)
         if not outcome.stall:
             count = op.cycles if isinstance(op, O.Alu) else 1
@@ -357,7 +313,7 @@ class Cpu:
         return outcome
 
     def _execute_chain_step(self, op, now):
-        """The ``naive_interp`` executor: reference chain + identical
+        """The reference executor: reference chain + identical
         instruction accounting (bit-for-bit the pre-table interpreter)."""
         outcome = self._execute_chain(op, now)
         if not outcome.stall:
@@ -372,25 +328,9 @@ class Cpu:
         differential suite compares this against ``_execute_chain``)."""
         handler = self._dispatch.get(op.__class__)
         if handler is None:
-            handler = self._resolve_handler(op)
+            raise SimulationError(
+                f"cpu {self.cpu_id}: not an operation: {op!r}")
         return handler(op, now)
-
-    def _resolve_handler(self, op):
-        """Dispatch-table miss: late-registered extension ops bind here;
-        subclasses of built-in ops keep their ``isinstance`` semantics by
-        falling back to the reference chain (which also raises the
-        canonical error for non-operations)."""
-        op_cls = op.__class__
-        func = _EXTENSION_HANDLERS.get(op_cls)
-        if func is not None:
-            handler = MethodType(func, self)
-        else:
-            handler = self._execute_chain
-            if not isinstance(op, O.Op):
-                # Don't memoize garbage types; just let the chain raise.
-                return handler
-        self._dispatch[op_cls] = handler
-        return handler
 
     # --- per-op handlers (one dict lookup away from execute) ----------
 
@@ -526,9 +466,8 @@ class Cpu:
     # --- the retained reference interpreter ---------------------------
 
     def _execute_chain(self, op, now):
-        """The pre-table ``isinstance`` chain, kept verbatim (plus the
-        extension-registry tail) as the differential-testing reference
-        and the ``naive_interp`` baseline.  Allocates a fresh
+        """The pre-table ``isinstance`` chain, kept verbatim as the
+        differential-testing reference.  Allocates a fresh
         :class:`ExecOutcome` per op, exactly like the original."""
         machine = self.machine
         htm = machine.htm
@@ -655,10 +594,6 @@ class Cpu:
         if isinstance(op, O.SerialRelease):
             htm.release_serial(self.cpu_id)
             return ExecOutcome()
-
-        func = _EXTENSION_HANDLERS.get(op.__class__)
-        if func is not None:
-            return func(self, op, now)
 
         raise SimulationError(f"cpu {self.cpu_id}: not an operation: {op!r}")
 

@@ -230,10 +230,10 @@ class SerialRelease(Op):
 #: Operations whose execution reads or writes the memory system.
 MEMORY_OPS = (Load, Store, ImLoad, ImStore, ImStoreId)
 
-#: The complete core operation vocabulary, in definition order.  The
+#: The complete operation vocabulary, in definition order.  The
 #: interpreter (:mod:`repro.isa.context`) builds its per-CPU dispatch
-#: table from this tuple at import time; extension ops ride on top of it
-#: via :func:`repro.isa.context.register_op_handler`.
+#: table from this tuple and executes exactly these types; anything else
+#: a program yields is rejected as "not an operation".
 ALL_OPS = (
     Load,
     Store,

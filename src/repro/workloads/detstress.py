@@ -21,8 +21,8 @@ single dictionary miss):
   happen) and gives :meth:`verify` an end-to-end invariant.
 
 Both detector implementations must produce bit-for-bit identical cycle
-counts on it; the bench harness runs it twice (indexed, then
-``config.naive_detection=True``) and reports the steps/sec ratio.
+counts on it: the bench harness pins its golden cycles, and the
+differential detector tests run it under the naive detectors too.
 """
 
 from __future__ import annotations

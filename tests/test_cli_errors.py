@@ -79,6 +79,26 @@ class TestConformErrors:
         assert "exclude each other" in message
 
 
+class TestEmptyCampaigns:
+    """A campaign that would check nothing must fail loudly, not report
+    "0 cases run" and exit 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--seeds", "0"],
+        ["chaos", "--seeds", "0"],
+        ["conform", "--seeds", "0", "--skip-litmus"],
+        ["check", "--seeds", "-1"],
+    ])
+    def test_seeds_below_one_rejected(self, argv):
+        assert "--seeds must be >= 1" in _exit_message(argv)
+
+    @pytest.mark.parametrize("command", [
+        "bench", "check", "chaos", "explore", "conform"])
+    def test_jobs_below_one_rejected(self, command):
+        assert "--jobs must be >= 1" in _exit_message(
+            [command, "--jobs", "0"])
+
+
 class TestConformSmoke:
     def test_single_cell_runs_clean(self, capsys):
         code = main(["conform", "--programs", "counter",

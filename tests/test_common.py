@@ -61,6 +61,28 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             SystemConfig(max_nesting=0)
 
+    @pytest.mark.parametrize("overrides", [
+        {"line_size": 0},
+        {"line_size": -32},
+        {"l1_size": 0},
+        {"l2_size": -1024},
+        {"l1_assoc": 0},
+        {"l2_assoc": 0},
+        {"l1_assoc": -4},
+        {"bus_width": 0},
+        {"l1_assoc": 3},                     # 32 KB is not 3-way * 32 B
+        {"l2_size": 48, "l2_assoc": 1},      # not a whole number of lines
+        {"mem_latency": -5},
+        {"l2_latency": -1},
+        {"bus_arbitration": -1},
+        {"undo_cycles_per_entry": -1},
+        {"merge_cycles_per_line": -1},
+        {"syscall_cycles": -200},
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_rejects_bad_geometry_and_costs(self, overrides):
+        with pytest.raises(ConfigError):
+            SystemConfig(**overrides)
+
     def test_replace_builds_variant(self):
         config = paper_config()
         flat = config.replace(flatten=True)

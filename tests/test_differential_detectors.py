@@ -5,7 +5,8 @@ optimization with a hard contract: *no observable difference* from the
 original O(n_cpus × levels) scanning implementations, which are kept as
 ``NaiveLazyDetector``/``NaiveEagerDetector`` exactly for this test.  Each
 case here runs one adversarial check program twice — once per detector
-implementation (``config.naive_detection`` flips it) — and asserts that
+implementation (:func:`install_naive_detector` swaps the reference in) —
+and asserts that
 
 * the violation streams are identical (victim, level mask, address, and
   source CPU, in posting order),
@@ -14,9 +15,10 @@ implementation (``config.naive_detection`` flips it) — and asserts that
 
 across lazy and eager configurations, undo-log and write-buffer
 versioning, deterministic and adversarial (PCT) schedules, and multiple
-seeds.  Any divergence — even a reordering of two violation posts —
-fails, because the violation order feeds victim handlers and therefore
-the whole downstream schedule.
+seeds, and on the bench flagship (the detection-stress kernel on the
+16-CPU eager machine).  Any divergence — even a reordering of two
+violation posts — fails, because the violation order feeds victim
+handlers and therefore the whole downstream schedule.
 """
 
 import pytest
@@ -24,11 +26,24 @@ import pytest
 from repro.check.fuzz import CONFIGS
 from repro.check.programs import PROGRAMS, make_program
 from repro.common.errors import ReproError
-from repro.common.params import functional_config
+from repro.common.params import LAZY, functional_config
+from repro.harness.bench import (
+    FLAGSHIP_CPUS,
+    FLAGSHIP_ID,
+    _flagship_config,
+    load_golden,
+)
+from repro.htm.conflict import (
+    EagerDetector,
+    LazyDetector,
+    NaiveEagerDetector,
+    NaiveLazyDetector,
+)
 from repro.mem.layout import SharedArena
 from repro.runtime.core import Runtime
 from repro.sim.engine import Machine
 from repro.sim.schedule import make_policy
+from repro.workloads import DetectionStressKernel
 
 #: Config cells that exercise both detector families (the timing configs
 #: are cycle-heavy and add no detector coverage beyond these).
@@ -37,16 +52,20 @@ POLICY_NAMES = ("det", "pct")
 SEEDS = (1, 2)
 
 
-def run_observed(program_name, config_name, policy_name, seed, naive):
-    """Run one check program; return every observable of the run."""
-    program = make_program(program_name, seed=seed)
-    overrides = dict(CONFIGS[config_name])
-    config = functional_config(
-        n_cpus=max(4, program.min_cpus()), naive_detection=naive,
-        **overrides)
-    if not program.supports(config):
-        return None
-    machine = Machine(config, policy=make_policy(policy_name, seed=seed))
+def install_naive_detector(machine):
+    """Replace the machine's indexed detector with its naive full-scan
+    reference, keeping the engine's violation sink and stats scope."""
+    htm = machine.htm
+    indexed = htm.detector
+    cls = (NaiveLazyDetector if machine.config.detection == LAZY
+           else NaiveEagerDetector)
+    htm.detector = cls(machine.config, htm.states, indexed._stats,
+                       htm.index)
+    htm.attach_violation_sink(indexed._sink)
+
+
+def record_violations(machine):
+    """Log every posted violation (in posting order) before delivery."""
     violations = []
     deliver = machine.htm.detector._sink
 
@@ -56,6 +75,21 @@ def run_observed(program_name, config_name, policy_name, seed, naive):
         deliver(violation)
 
     machine.htm.attach_violation_sink(recording_sink)
+    return violations
+
+
+def run_observed(program_name, config_name, policy_name, seed, naive):
+    """Run one check program; return every observable of the run."""
+    program = make_program(program_name, seed=seed)
+    overrides = dict(CONFIGS[config_name])
+    config = functional_config(
+        n_cpus=max(4, program.min_cpus()), **overrides)
+    if not program.supports(config):
+        return None
+    machine = Machine(config, policy=make_policy(policy_name, seed=seed))
+    if naive:
+        install_naive_detector(machine)
+    violations = record_violations(machine)
     runtime = Runtime(machine)
     arena = SharedArena(machine)
     error = None
@@ -102,21 +136,38 @@ def test_naive_and_indexed_detectors_are_observably_identical(
         pytest.skip(f"{program_name} does not support {config_name}")
 
 
-def test_naive_detection_flag_selects_the_reference_classes():
-    from repro.htm.conflict import (
-        EagerDetector,
-        LazyDetector,
-        NaiveEagerDetector,
-        NaiveLazyDetector,
-    )
+def test_flagship_detectors_are_observably_identical():
+    observed = {}
+    for naive in (False, True):
+        machine = Machine(_flagship_config())
+        if naive:
+            install_naive_detector(machine)
+        violations = record_violations(machine)
+        workload = DetectionStressKernel(n_threads=FLAGSHIP_CPUS)
+        workload.setup(machine, Runtime(machine), SharedArena(machine))
+        machine.run()
+        workload.verify(machine)
+        observed[naive] = {
+            "violations": violations,
+            "memory": machine.memory.snapshot(),
+            "cycles": machine.stats.get("cycles"),
+            "steps": machine.stats.get("engine.steps"),
+        }
+    indexed, naive = observed[False], observed[True]
+    assert indexed["violations"], "the flagship must post violations"
+    for field in ("violations", "memory", "cycles", "steps"):
+        assert naive[field] == indexed[field], (
+            f"{FLAGSHIP_ID}: {field} diverge")
+    assert indexed["cycles"] == load_golden()[FLAGSHIP_ID]
 
-    def detector_for(**overrides):
-        machine = Machine(functional_config(n_cpus=2, **overrides))
-        return machine.htm.detector
 
-    assert isinstance(detector_for(), LazyDetector)
-    assert isinstance(detector_for(naive_detection=True), NaiveLazyDetector)
-    assert isinstance(detector_for(detection="eager"), EagerDetector)
-    assert isinstance(
-        detector_for(detection="eager", naive_detection=True),
-        NaiveEagerDetector)
+def test_machines_build_indexed_detectors_and_the_helper_swaps_in_naive():
+    for detection, indexed_cls, naive_cls in (
+            ("lazy", LazyDetector, NaiveLazyDetector),
+            ("eager", EagerDetector, NaiveEagerDetector)):
+        machine = Machine(functional_config(n_cpus=2, detection=detection))
+        assert type(machine.htm.detector) is indexed_cls
+        sink = machine.htm.detector._sink
+        install_naive_detector(machine)
+        assert type(machine.htm.detector) is naive_cls
+        assert machine.htm.detector._sink is sink

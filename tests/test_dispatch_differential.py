@@ -3,30 +3,25 @@
 The tentpole interpreter overhaul replaced the per-op ``isinstance``
 chain with a ``type(op) -> bound handler`` dispatch table, interned the
 hot :class:`ExecOutcome` shapes, and interned single-field program ops.
-The original chain is retained verbatim (``Cpu._execute_chain``, also
-the ``naive_interp`` bench baseline), which makes the equivalence
-directly testable: for every op kind — core vocabulary, registered
-extension ops, subclasses, stall and self-abort paths — both executors
-must produce identical outcome fields and identical side effects, or
-raise the identical error.
+The original chain is retained verbatim (``Cpu._execute_chain``), which
+makes the equivalence directly testable: for every op kind — the core
+vocabulary, stall and self-abort paths — both executors must produce
+identical outcome fields and identical side effects, or raise the
+identical error.  Whole runs install the chain per CPU through the
+``cpu.execute`` slot (:func:`use_chain`) and must match the table run
+bit for bit, the bench's 4-CPU golden cells included.
 """
-
-import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import IsaError
 from repro.common.params import functional_config, paper_config
+from repro.harness.bench import load_golden, matrix_cells
 from repro.htm.conflict import SELF_ABORT, STALL
 from repro.isa import context as ctx
-from repro.isa.context import (
-    ExecOutcome,
-    latency_outcome,
-    register_op_handler,
-    unregister_op_handler,
-)
+from repro.isa.context import latency_outcome
+from repro.mem.layout import SharedArena
 from repro.runtime.core import Runtime
 from repro.sim import ops as O
 from repro.sim.engine import Machine
@@ -129,6 +124,7 @@ def test_error_paths_match():
         ([], O.XAbort(code=1)),          # xabort outside a transaction
         ([], O.Load(WORD + 1)),          # unaligned address
         ([], O.ImStore(WORD + 2, 1)),    # unaligned immediate store
+        ([], O.Op()),                    # the bare base: not an operation
     ]:
         table, chain = run_both(setup_ops, op)
         assert table == chain
@@ -172,76 +168,6 @@ def test_self_abort_path_matches():
 
 
 # ---------------------------------------------------------------------------
-# Extension-op registration seam
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class ProbeOp(O.Op):
-    """An extension op used only by this suite."""
-
-    ticks: int = 2
-
-
-def _probe_handler(cpu, op, now):
-    return ExecOutcome(latency=op.ticks, value=("probe", cpu.cpu_id, now))
-
-
-@pytest.fixture
-def probe_registered():
-    register_op_handler(ProbeOp, _probe_handler)
-    try:
-        yield
-    finally:
-        unregister_op_handler(ProbeOp)
-
-
-def test_extension_op_matches_chain(probe_registered):
-    table, chain = run_both([], ProbeOp(ticks=5))
-    assert table == chain
-    assert table[0] == "ok"
-    assert table[1] == (5, ("probe", 0, 1), False, False)
-
-
-def test_extension_op_binds_lazily_on_existing_cpus():
-    cpu = fresh_cpu()  # built before registration
-    register_op_handler(ProbeOp, _probe_handler)
-    try:
-        outcome = cpu._execute(ProbeOp(ticks=3), 0)
-        assert outcome_fields(outcome) == (3, ("probe", 0, 0), False, False)
-    finally:
-        unregister_op_handler(ProbeOp)
-    # Existing CPUs keep the memoized binding; new CPUs reject the op
-    # again, exactly like the chain.
-    table, chain = run_both([], ProbeOp())
-    assert table == chain
-    assert table[0] == "raise"
-
-
-def test_core_op_subclass_keeps_isinstance_semantics():
-    """An unregistered subclass of a core op falls back to the chain's
-    isinstance dispatch (and its Alu cycles count as instructions)."""
-
-    @dataclasses.dataclass(frozen=True, slots=True)
-    class WideAlu(O.Alu):
-        pass
-
-    table, chain = run_both([], WideAlu(7))
-    assert table == chain
-    assert table[1] == (7, None, False, False)
-    cpu = fresh_cpu()
-    before = cpu.icount
-    cpu._execute_step(WideAlu(7), 0)
-    assert cpu.icount - before == 7
-
-
-def test_register_rejects_garbage():
-    with pytest.raises(IsaError):
-        register_op_handler(int, _probe_handler)
-    with pytest.raises(IsaError):
-        register_op_handler(ProbeOp, "not callable")
-
-
-# ---------------------------------------------------------------------------
 # Interned outcomes and ops
 # ---------------------------------------------------------------------------
 
@@ -271,11 +197,19 @@ def test_op_constructors_intern_single_field_ops():
 
 
 # ---------------------------------------------------------------------------
-# Whole-program equivalence (the naive_interp seam end to end)
+# Whole-program equivalence (the cpu.execute slot end to end)
 # ---------------------------------------------------------------------------
 
-def _contended_machine(config):
+def use_chain(machine):
+    """Install the reference chain as every CPU's executor."""
+    for cpu in machine.cpus:
+        cpu.execute = cpu._execute_chain_step
+
+
+def _contended_machine(config, chain=False):
     machine = Machine(config)
+    if chain:
+        use_chain(machine)
     runtime = Runtime(machine)
 
     def body(t):
@@ -294,12 +228,34 @@ def _contended_machine(config):
     return machine
 
 
-@pytest.mark.parametrize("detection", ["lazy", "eager"])
-def test_full_runs_are_bit_for_bit_identical(detection):
-    config = paper_config(n_cpus=2, detection=detection)
-    table = _contended_machine(config)
-    chain = _contended_machine(
-        dataclasses.replace(config, naive_interp=True))
+#: The bench's golden 4-CPU cells, run whole under both executors.
+SMOKE_CELLS = {cell_id: (factory, config_factory)
+               for cell_id, factory, config_factory
+               in matrix_cells(smoke=True)}
+
+
+def _bench_cell_machine(cell_id, chain=False):
+    factory, config_factory = SMOKE_CELLS[cell_id]
+    workload = factory()
+    machine = Machine(config_factory())
+    if chain:
+        use_chain(machine)
+    workload.setup(machine, Runtime(machine), SharedArena(machine))
+    machine.run()
+    workload.verify(machine)
+    return machine
+
+
+@pytest.mark.parametrize("case", ["lazy", "eager", *SMOKE_CELLS])
+def test_full_runs_are_bit_for_bit_identical(case):
+    if case in SMOKE_CELLS:
+        table = _bench_cell_machine(case)
+        chain = _bench_cell_machine(case, chain=True)
+        assert table.stats.get("cycles") == load_golden()[case]
+    else:
+        config = paper_config(n_cpus=2, detection=case)
+        table = _contended_machine(config)
+        chain = _contended_machine(config, chain=True)
     assert table.results() == chain.results()
     assert table.stats.as_dict() == chain.stats.as_dict()
 
@@ -357,9 +313,10 @@ def _stream_program(tokens):
 )
 def test_random_streams_match(tokens, detection):
     outcomes = []
-    for naive in (False, True):
-        machine = Machine(paper_config(
-            n_cpus=1, detection=detection, naive_interp=naive))
+    for chain in (False, True):
+        machine = Machine(paper_config(n_cpus=1, detection=detection))
+        if chain:
+            use_chain(machine)
         machine.add_thread(_stream_program(tokens))
         machine.run()
         outcomes.append(

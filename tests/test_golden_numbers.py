@@ -99,5 +99,5 @@ def test_exact_cycle_pin_flagship_detstress():
     assert FLAGSHIP_ID in golden
     result = run_cell(
         lambda: DetectionStressKernel(n_threads=FLAGSHIP_CPUS),
-        _flagship_config(naive=False))
+        _flagship_config())
     assert result["cycles"] == golden[FLAGSHIP_ID]
