@@ -774,10 +774,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("seeds", "jobs"):
+    for flag, floor in (("seeds", 1), ("jobs", 1), ("timeout", 0),
+                        ("max_depth", 0), ("max_schedules", 0),
+                        ("limit", 0)):
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            raise SystemExit(f"--{flag} must be >= 1 (got {value})")
+        if value is not None and value < floor:
+            raise SystemExit(f"--{flag.replace('_', '-')} must be "
+                             f">= {floor} (got {value})")
     return args.fn(args)
 
 

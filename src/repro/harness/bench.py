@@ -13,8 +13,11 @@ The flagship then runs once more under the
 its cycles, and the cycle accounting must balance.
 
 Results (cycles and steps per cell, plus the flagship's cycle account)
-are written to ``BENCH_sim.json``.  Host speed is measured elsewhere,
-by the repository benchmark in ``perfbench/``.
+are written to ``BENCH_sim.json`` with a ``manifest`` naming what
+produced them: the git revision (``null`` outside a checkout), the
+Python version, the smoke flag and the sha256 of the goldens.  Host
+speed is measured elsewhere, by the repository benchmark in
+``perfbench/``.
 
 ``--smoke`` runs a reduced matrix (the 4-CPU column plus the flagship)
 for CI; golden values are shared with the full matrix.  Regenerate the
@@ -24,8 +27,11 @@ goldens with ``--update-golden`` after an *intentional* behaviour change
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import platform
+import subprocess
 
 from repro.common.params import functional_config, paper_config
 from repro.harness.parallel import CaseSpec, run_campaign
@@ -36,6 +42,10 @@ from repro.workloads import DetectionStressKernel, Mp3dKernel, SwimKernel
 
 #: Path of the golden cycle counts, next to this module.
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "bench_golden.json")
+
+#: The checkout root when running from source (``src/repro/harness/..``).
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))))
 
 #: The matrix axes.
 KERNELS = {"swim": SwimKernel, "mp3d": Mp3dKernel}
@@ -154,6 +164,42 @@ def load_golden():
         return json.load(fh)
 
 
+def git_rev(root=None):
+    """HEAD of the checkout rooted exactly at ``root``, else None.
+
+    ``root`` defaults to the checkout this source tree sits in; an
+    installed package is not a checkout, so it reports None."""
+    root = root or REPO_ROOT
+    try:
+        out = subprocess.run(
+            ["git", "-C", root, "rev-parse", "--show-toplevel", "HEAD"],
+            capture_output=True, text=True, timeout=10, check=True)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    lines = out.stdout.split()
+    if len(lines) != 2 or (os.path.realpath(lines[0])
+                           != os.path.realpath(root)):
+        return None
+    return lines[1]
+
+
+def bench_manifest(smoke):
+    """The provenance block of ``BENCH_sim.json``.
+
+    Names the git revision, Python version, smoke flag and goldens
+    digest, so two results can be told apart."""
+    golden_sha256 = None
+    if os.path.exists(GOLDEN_PATH):
+        with open(GOLDEN_PATH, "rb") as fh:
+            golden_sha256 = hashlib.sha256(fh.read()).hexdigest()
+    return {
+        "git_rev": git_rev(),
+        "python": platform.python_version(),
+        "smoke": smoke,
+        "golden_sha256": golden_sha256,
+    }
+
+
 def run_bench(smoke=False, update_golden=False, report=print, jobs=1):
     """Run the matrix + flagship; returns (results dict, list of errors).
 
@@ -204,12 +250,6 @@ def run_bench(smoke=False, update_golden=False, report=print, jobs=1):
                 title=f"  wasted-work breakdown ({FLAGSHIP_ID})").splitlines():
             report(f"  {line}")
 
-    results = {
-        "smoke": smoke,
-        "cells": cells,
-        "accounting": accounting,
-        "ok": not errors,
-    }
     if update_golden:
         refreshed = dict(load_golden())
         for cell in cells:
@@ -219,6 +259,15 @@ def run_bench(smoke=False, update_golden=False, report=print, jobs=1):
             json.dump(refreshed, fh, indent=2, sort_keys=True)
             fh.write("\n")
         report(f"  wrote golden cycle counts to {GOLDEN_PATH}")
+    results = {
+        # After any golden update, so the digest names the file as this
+        # run left it.
+        "manifest": bench_manifest(smoke),
+        "smoke": smoke,
+        "cells": cells,
+        "accounting": accounting,
+        "ok": not errors,
+    }
     return results, errors
 
 

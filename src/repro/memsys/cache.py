@@ -11,6 +11,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+#: Placeholder for a set that has never been filled.  Immutable and
+#: empty, so membership tests read it as an empty set;
+#: :meth:`Cache.insert` swaps in an ``OrderedDict`` on the first fill.
+_UNFILLED = ()
+
 
 class Cache:
     """An LRU set-associative cache of line addresses.
@@ -20,6 +25,9 @@ class Cache:
     in place; :meth:`flush_stats` folds them into the stats tree (the
     engine calls it when a run ends, so finished machines always expose
     the usual ``l1.hits``-style counters).
+
+    Sets are allocated on first fill: a machine pays only for the sets
+    its run touches, not for every set of every cache up front.
     """
 
     def __init__(self, name, size_bytes, assoc, line_size, stats,
@@ -28,7 +36,7 @@ class Cache:
         self.assoc = assoc
         self.line_size = line_size
         self.n_sets = size_bytes // (line_size * assoc)
-        self._sets = [OrderedDict() for _ in range(self.n_sets)]
+        self._sets = [_UNFILLED] * self.n_sets
         self._stats = stats.scope(name)
         #: Optional shared residency registry (line -> dict of caches
         #: holding it, used as an insertion-ordered set so snoop order
@@ -82,10 +90,13 @@ class Cache:
         address, or ``None`` if no eviction was needed."""
         line_size = self.line_size
         line = addr - addr % line_size
-        cache_set = self._sets[(line // line_size) % self.n_sets]
+        index = (line // line_size) % self.n_sets
+        cache_set = self._sets[index]
         if line in cache_set:
             cache_set.move_to_end(line)
             return None
+        if cache_set is _UNFILLED:
+            cache_set = self._sets[index] = OrderedDict()
         victim = None
         registry = self._registry
         if len(cache_set) >= self.assoc:
@@ -139,7 +150,9 @@ class Cache:
     def restore_state(self, saved):
         sets, counters = saved
         self._sets = [
-            OrderedDict((line, True) for line in lines) for lines in sets]
+            OrderedDict((line, True) for line in lines) if lines
+            else _UNFILLED
+            for lines in sets]
         (self.n_hits, self.n_misses, self.n_evictions,
          self.n_fills, self.n_invalidations) = counters
 

@@ -33,25 +33,33 @@ yields the same sequence of choices for the same program, because all
 randomness comes from ``random.Random(seed)`` streams and per-CPU
 priorities are derived from ``seed`` and the CPU id alone (never from
 hash ordering or encounter order).
+
+Every pick sits on the engine's per-step path, so the helpers keep it
+cheap without changing it: candidates are keyed with C-level
+``operator.attrgetter`` keys, and :class:`PriorityPolicy` derives each
+CPU's static priority once per instance rather than on every step.
 """
 
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 
 #: Default bound (cycles) on how far ahead of the earliest runnable CPU a
 #: randomized policy may schedule.  Small enough that spin loops make
 #: their partners runnable promptly, large enough to reorder commits.
 DEFAULT_WINDOW = 250
 
+_resume_at = attrgetter("resume_at")
+_resume_at_then_id = attrgetter("resume_at", "cpu_id")
+
 
 def window_candidates(runnable, window):
     """The runnable CPUs within ``window`` cycles of the earliest one,
     in deterministic (resume_at, cpu_id) order."""
-    earliest = min(cpu.resume_at for cpu in runnable)
-    candidates = [cpu for cpu in runnable
-                  if cpu.resume_at <= earliest + window]
-    candidates.sort(key=lambda cpu: (cpu.resume_at, cpu.cpu_id))
+    limit = min(map(_resume_at, runnable)) + window
+    candidates = [cpu for cpu in runnable if cpu.resume_at <= limit]
+    candidates.sort(key=_resume_at_then_id)
     return candidates
 
 
@@ -280,26 +288,34 @@ class PriorityPolicy(SchedulePolicy):
         #: the lowest priority of all.
         self._demoted = {}
         self._demote_seq = 0
+        #: cpu_id -> static priority, filled on first sight.  A pure
+        #: function of (seed, cpu_id), so it is never snapshotted.
+        self._priorities = {}
 
     def _static_priority(self, cpu_id):
         # Derived from (seed, cpu_id) alone: stable across runs and
         # independent of encounter order, so replays and shrinks see the
         # same priorities.
-        return random.Random(self.seed * 1_000_003 + cpu_id).random()
+        priority = self._priorities.get(cpu_id)
+        if priority is None:
+            priority = random.Random(self.seed * 1_000_003 + cpu_id).random()
+            self._priorities[cpu_id] = priority
+        return priority
 
     def _rank(self, cpu):
-        if cpu.cpu_id in self._demoted:
+        demoted = self._demoted.get(cpu.cpu_id)
+        if demoted is not None:
             # Demoted band: below all static priorities; a later demotion
             # ranks below an earlier one.
-            return (1, self._demote_seq - self._demoted[cpu.cpu_id])
+            return (1, self._demote_seq - demoted)
         return (0, self._static_priority(cpu.cpu_id))
 
     def choose(self, runnable):
         self._steps += 1
         candidates = window_candidates(runnable, self.window)
-        chosen = min(candidates,
-                     key=lambda cpu: (self._rank(cpu),
-                                      cpu.resume_at, cpu.cpu_id))
+        # Ties in rank go to the lowest (resume_at, cpu_id): candidates
+        # arrive sorted that way and min keeps the first of equal keys.
+        chosen = min(candidates, key=self._rank)
         if (self._next_point < len(self.change_points)
                 and self._steps >= self.change_points[self._next_point]):
             self._next_point += 1

@@ -98,6 +98,21 @@ class TestEmptyCampaigns:
         assert "--jobs must be >= 1" in _exit_message(
             [command, "--jobs", "0"])
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["check", "--timeout", "-1"], "--timeout"),
+        (["chaos", "--timeout", "-1"], "--timeout"),
+        (["explore", "--timeout", "-1"], "--timeout"),
+        (["conform", "--timeout", "-0.5"], "--timeout"),
+        (["explore", "--max-depth", "-3"], "--max-depth"),
+        (["explore", "--max-schedules", "-1"], "--max-schedules"),
+        (["trace", "litmus-sb", "--limit", "-1"], "--limit"),
+    ])
+    def test_negative_bounds_rejected(self, argv, flag):
+        """A negative timeout used to fail a correct program with a
+        bogus itimer error, a negative depth silently explored one
+        schedule, and a negative trace limit died with a traceback."""
+        assert f"{flag} must be >= 0" in _exit_message(argv)
+
 
 class TestConformSmoke:
     def test_single_cell_runs_clean(self, capsys):

@@ -13,7 +13,9 @@ parallel"):
   enumeration order regardless of worker completion order.
 """
 
+import hashlib
 import os
+import platform
 import signal
 import time
 
@@ -210,6 +212,22 @@ class TestBenchParallel:
         assert ([c["cycles"] for c in parallel["cells"]]
                 == [c["cycles"] for c in serial["cells"]])
         assert all(c["ok"] for c in parallel["cells"])
+        # The manifest BENCH_sim.json carries: what produced the result.
+        from repro.harness.bench import GOLDEN_PATH, git_rev
+
+        with open(GOLDEN_PATH, "rb") as fh:
+            golden_sha256 = hashlib.sha256(fh.read()).hexdigest()
+        assert serial["manifest"] == parallel["manifest"] == {
+            "git_rev": git_rev(),
+            "python": platform.python_version(),
+            "smoke": True,
+            "golden_sha256": golden_sha256,
+        }
+
+    def test_git_rev_is_null_outside_a_checkout(self, tmp_path):
+        from repro.harness.bench import git_rev
+
+        assert git_rev(str(tmp_path)) is None
 
     def test_cell_runner_rejects_unknown_id(self):
         from repro.harness.bench import run_cell_by_id

@@ -8,10 +8,17 @@ The contract of :mod:`repro.sim.schedule`:
   schedule, same transactional history.
 * Different seeds genuinely explore: distinct commit orders appear.
 * The bounded window keeps every CPU schedulable (no starvation).
+* The randomized picks are pinned: a Hypothesis differential against
+  the original formulas, and a digest of the fuzz sweep's histories.
 """
 
-import pytest
+import hashlib
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.check.fuzz import enumerate_sweep, run_case
 from repro.check.history import HistoryRecorder
 from repro.check.programs import CounterProgram
 from repro.common.params import functional_config, paper_config
@@ -19,6 +26,7 @@ from repro.mem.layout import SharedArena
 from repro.runtime.core import Runtime
 from repro.sim.engine import Machine
 from repro.sim.schedule import (
+    ControlledPolicy,
     DeterministicPolicy,
     PriorityPolicy,
     RandomPolicy,
@@ -164,3 +172,124 @@ def test_make_policy_names():
     assert isinstance(make_policy("pct", seed=4), PriorityPolicy)
     with pytest.raises(ValueError):
         make_policy("fifo")
+
+
+# ---------------------------------------------------------------------------
+# The picks are pinned
+# ---------------------------------------------------------------------------
+#
+# The policies cache per-CPU priorities and rank with C-level keys; these
+# test-local copies of the original formulas (a fresh ``random.Random``
+# per priority, a lambda sort, a 3-tuple ``min`` key) are what every
+# pick must still equal.
+
+def _reference_candidates(runnable, window):
+    earliest = min(cpu.resume_at for cpu in runnable)
+    candidates = [cpu for cpu in runnable
+                  if cpu.resume_at <= earliest + window]
+    candidates.sort(key=lambda cpu: (cpu.resume_at, cpu.cpu_id))
+    return candidates
+
+
+def _reference_random_picks(seed, window, steps):
+    rng = random.Random(seed)
+    return [rng.choice(_reference_candidates(runnable, window)).cpu_id
+            for runnable in steps]
+
+
+def _reference_controlled_picks(forced, window, steps):
+    picks = []
+    for step, runnable in enumerate(steps):
+        candidates = _reference_candidates(runnable, window)
+        chosen = candidates[0]
+        for cpu in candidates:
+            if cpu.cpu_id == forced.get(step):
+                chosen = cpu
+        picks.append(chosen.cpu_id)
+    return picks
+
+
+def _reference_pct_picks(seed, change_points, window, steps):
+    demoted = {}
+    demote_seq = next_point = 0
+    picks, fired = [], []
+
+    def rank(cpu):
+        if cpu.cpu_id in demoted:
+            return (1, demote_seq - demoted[cpu.cpu_id])
+        return (0, random.Random(seed * 1_000_003 + cpu.cpu_id).random())
+
+    points = sorted(change_points)
+    for step, runnable in enumerate(steps, start=1):
+        candidates = _reference_candidates(runnable, window)
+        chosen = min(candidates,
+                     key=lambda cpu: (rank(cpu), cpu.resume_at, cpu.cpu_id))
+        if next_point < len(points) and step >= points[next_point]:
+            next_point += 1
+            demote_seq += 1
+            demoted[chosen.cpu_id] = demote_seq
+            fired.append((step, chosen.cpu_id))
+        picks.append(chosen.cpu_id)
+    return picks, fired
+
+
+# Few distinct resume_ats, so ties (and window edges) are common.
+_resume_ats = st.sampled_from([0, 0, 1, 10, 249, 250, 251, 400, 500])
+
+
+@st.composite
+def _runnable_steps(draw):
+    n_cpus = draw(st.integers(1, 6))
+    cpu_ids = draw(st.lists(st.integers(0, 15), min_size=n_cpus,
+                            max_size=n_cpus, unique=True))
+    steps = []
+    for _ in range(draw(st.integers(1, 30))):
+        ids = draw(st.lists(st.sampled_from(cpu_ids), min_size=1,
+                            unique=True))
+        steps.append([FakeCpu(cpu_id, draw(_resume_ats)) for cpu_id in ids])
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=_runnable_steps(), seed=st.integers(0, 2**32),
+       window=st.sampled_from([0, 1, 100, 250, 1_000]),
+       change_points=st.lists(st.integers(1, 35), max_size=5),
+       forced=st.dictionaries(st.integers(0, 30), st.integers(0, 15)))
+def test_randomized_picks_equal_the_original_formulas(
+        steps, seed, window, change_points, forced):
+    pct = PriorityPolicy(seed=seed, change_points=change_points,
+                         window=window)
+    expected_picks, expected_fired = _reference_pct_picks(
+        seed, change_points, window, steps)
+    assert [pct.choose(runnable).cpu_id
+            for runnable in steps] == expected_picks
+    assert pct.fired == expected_fired
+
+    rand = RandomPolicy(seed=seed, window=window)
+    assert ([rand.choose(runnable).cpu_id for runnable in steps]
+            == _reference_random_picks(seed, window, steps))
+
+    controlled = ControlledPolicy(forced=forced, window=window)
+    assert ([controlled.choose(runnable).cpu_id for runnable in steps]
+            == _reference_controlled_picks(forced, window, steps))
+
+
+#: sha256 over ``(name, n_committed, commit_cpus, fired_points)`` of
+#: every random/pct case of ``enumerate_sweep(seeds=1, timing_seeds=1)``
+#: (180 cases), recorded before the scheduling fast paths went in.
+SWEEP_SCHEDULE_DIGEST = (
+    "c07edea67aaa5ea2bb7ba2a262c7212accdec1abfa4cd49531e11e6595e3f98e")
+
+
+def test_randomized_sweep_histories_are_pinned():
+    digest = hashlib.sha256()
+    n_cases = 0
+    for spec in enumerate_sweep(seeds=1, timing_seeds=1,
+                                policies=("random", "pct")):
+        result = run_case(*spec.args)
+        digest.update(repr((spec.name, result.n_committed,
+                            result.commit_cpus,
+                            result.fired_points)).encode())
+        n_cases += 1
+    assert n_cases == 180
+    assert digest.hexdigest() == SWEEP_SCHEDULE_DIGEST
