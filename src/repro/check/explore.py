@@ -116,7 +116,11 @@ from repro.check.fuzz import (
     collect_violations,
 )
 from repro.check.history import History, HistoryRecorder, TxRecord
-from repro.check.oracles import OracleViolation, check_cycle_conservation
+from repro.check.oracles import (
+    OracleViolation,
+    check_cycle_conservation,
+    check_rerun,
+)
 from repro.check.programs import make_program
 from repro.spec.replay import freeze
 
@@ -493,10 +497,9 @@ CHECKPOINT_BUDGET = 48 * 1024 * 1024
 
 class _Checkpoint:
     """One cached mid-run state: the machine snapshot plus the observer
-    state (recorder, history, profiler, tracer) that goes with it."""
+    state (recorder, history, profiler) that goes with it."""
 
-    __slots__ = ("snapshot", "recorder", "history", "profiler", "tracer",
-                 "nbytes")
+    __slots__ = ("snapshot", "recorder", "history", "profiler", "nbytes")
 
 
 class CheckpointCache:
@@ -561,7 +564,7 @@ _CHECKPOINTS = CheckpointCache()
 class _NodeContext:
     """One worker's reusable restore target: a machine with the explore
     observer stack permanently attached (same attach order as the
-    stateless path: recorder, history, profiler, tracer).
+    stateless path: recorder, history, profiler).
 
     Constructing the observers costs more than a short resumed run, so
     hit-path nodes share one context per (program, config) and
@@ -571,7 +574,7 @@ class _NodeContext:
     overwrite, so a stateless (cache-miss) run always builds fresh.
     """
 
-    __slots__ = ("machine", "recorder", "history", "profiler", "tracer")
+    __slots__ = ("machine", "recorder", "history", "profiler")
 
     def __init__(self, config):
         placeholder = ControlledPolicy(window=EXPLORE_WINDOW)
@@ -579,8 +582,6 @@ class _NodeContext:
         self.recorder = StepRecorder(self.machine, placeholder)
         self.history = HistoryRecorder(self.machine)
         self.profiler = CycleProfiler(self.machine)
-        self.tracer = Tracer(self.machine,
-                             sink=RingSink(TRACE_RING, mode="tail"))
 
     def begin_node(self, policy):
         """Point the attached observers at a new node's run.
@@ -617,7 +618,6 @@ class _NodeContext:
         # :func:`_restore_profiler_state`; only the account memo must
         # reset here.
         self.profiler._account = None
-        self.tracer.sink = RingSink(TRACE_RING, mode="tail")
 
 
 #: Restore-target contexts, one per (program, config) per worker.
@@ -741,16 +741,7 @@ def _restore_profiler_state(profiler, prof_state):
         books.restore_state(saved)
 
 
-def _restore_tracer_state(tracer, trace_state):
-    events, dropped = trace_state
-    sink = RingSink(TRACE_RING, mode="tail")
-    sink._events.extend(events)
-    sink.dropped = dropped
-    tracer.sink = sink
-
-
-def _deposit_hook(base, policy, recorder, history_recorder, profiler,
-                  tracer):
+def _deposit_hook(base, policy, recorder, history_recorder, profiler):
     """The engine ``checkpoint_hook`` that deposits along this node's
     continuation.  Fires at step boundaries (after ``step_hook``), so
     every observer is quiescent: the recorder's accumulators are empty
@@ -789,12 +780,9 @@ def _deposit_hook(base, policy, recorder, history_recorder, profiler,
         entry.history = _capture_history_state(history_recorder)
         entry.profiler = tuple(
             books.snapshot_state() for books in profiler._cpu)
-        # Bounded copy: the tail ring holds at most TRACE_RING events.
-        entry.tracer = (list(tracer.sink._events), tracer.sink.dropped)
         entry.nbytes = (
             snapshot.approx_bytes()
             + 96 * (entry.history[1] + entry.history[3])
-            + 64 * len(entry.tracer[0])
             + (64 * entry.recorder[2] if entry.recorder else 0))
         cache.deposit(key, entry)
 
@@ -845,7 +833,8 @@ class ScheduleVerdict:
     signature: tuple = ()
     #: Forced choices that were unavailable on replay (normally empty).
     divergences: tuple = ()
-    #: Last-K trace ring of a *failing* schedule (empty on a pass).
+    #: Last-K trace tail of a *failing* schedule, from its traced
+    #: stateless re-run (empty on a pass).
     trace: tuple = ()
     #: The program's frozen final observation (None on an errored run);
     #: an exhaustive drain's outcome set is gated against the spec's
@@ -894,11 +883,14 @@ def _should_prune(prune, fault, config):
 
 
 def _execute(program_name, config_name, forced, sleep, sleep_from,
-             fault, seed, max_cycles, record, checkpoint_ctx=None):
+             fault, seed, max_cycles, record, checkpoint_ctx=None,
+             trace=False):
     """Run one controlled schedule; returns the post-run state tuple
     ``(program, machine, policy, history, error, pruned_at, recorder,
-    obs)`` where ``obs`` is the ``(tracer, profiler)`` pair every node
-    carries (trace-on-failure ring + cycle-conservation books).
+    obs)`` where ``obs`` is the ``(tracer, profiler)`` pair: the
+    cycle-conservation books every node carries, and a last-K tracer
+    when ``trace`` is set (None otherwise).  Traced runs are stateless:
+    ``trace`` is never combined with ``checkpoint_ctx``.
 
     ``checkpoint_ctx`` (``{"base", "prefix", "deposit"}``) switches the
     node to the checkpoint cache: fork from the deepest cached ancestor
@@ -943,10 +935,9 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
             machine.step_hook = recorder._close_step
         history_recorder = ctx.history
         profiler = ctx.profiler
-        tracer = ctx.tracer
+        tracer = None
         _restore_history_state(history_recorder, entry.history)
         _restore_profiler_state(profiler, entry.profiler)
-        _restore_tracer_state(tracer, entry.tracer)
     else:
         program = make_program(program_name, seed=seed)
         config = build_config(config_name, program)
@@ -964,12 +955,13 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
         arena = SharedArena(machine)
         history_recorder = HistoryRecorder(machine)
         profiler = CycleProfiler(machine)
-        tracer = Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
+        tracer = (Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
+                  if trace else None)
     if checkpoint_ctx is not None and checkpoint_ctx["deposit"]:
         machine.checkpoint_interval = _CHECKPOINTS.interval
         machine.checkpoint_hook = _deposit_hook(
             checkpoint_ctx["base"], policy, recorder, history_recorder,
-            profiler, tracer)
+            profiler)
     error = None
     pruned_at = None
     try:
@@ -983,7 +975,8 @@ def _execute(program_name, config_name, forced, sleep, sleep_from,
     finally:
         machine.checkpoint_hook = None
         if ctx is None:
-            tracer.detach()
+            if tracer is not None:
+                tracer.detach()
             profiler.detach()
             history_recorder.detach()
             if injector is not None:
@@ -1005,15 +998,14 @@ def _trace_deviations(policy):
 
 
 def _make_verdict(program_name, config_name, fault, seed, program,
-                  machine, policy, history, error, obs=None):
+                  machine, policy, history, error, obs):
     violations, error = collect_violations(
         program, machine, history, error, fault)
+    tracer, profiler = obs
+    violations += check_cycle_conservation(profiler.account())
     trace = ()
-    if obs is not None:
-        tracer, profiler = obs
-        violations += check_cycle_conservation(profiler.account())
-        if violations:
-            trace = tuple(tracer.events)
+    if violations and tracer is not None:
+        trace = tuple(tracer.events)
     outcome = None if error else freeze(program.outcome(machine))
     return ScheduleVerdict(
         program=program_name, config=config_name, fault=fault, seed=seed,
@@ -1103,6 +1095,23 @@ def _make_children(prefix, policy, recorder, max_depth, n_cpus):
     return children
 
 
+def _trace_failure(verdict, run):
+    """Re-run a failing node stateless with a tracer attached (the
+    ``_execute`` arguments ``run``), ship that run's trace tail on
+    ``verdict``, and check that the re-run reproduced it."""
+    program, machine, policy, history, error, pruned_at, _rec, obs = (
+        _execute(*run, trace=True))
+    again = ([], ())
+    if pruned_at is None:
+        rerun = _make_verdict(verdict.program, verdict.config,
+                              verdict.fault, verdict.seed, program,
+                              machine, policy, history, error, obs=obs)
+        verdict.trace = rerun.trace
+        again = (rerun.violations, rerun.signature)
+    verdict.violations += check_rerun(
+        (verdict.violations, verdict.signature), again)
+
+
 def run_node(program_name, config_name, prefix=(), sleep=(), fault=None,
              seed=1, max_depth=None, prune=True, max_cycles=None,
              checkpoint=False):
@@ -1129,15 +1138,17 @@ def run_node(program_name, config_name, prefix=(), sleep=(), fault=None,
             "deposit": max_depth != 0,
         }
         before = dict(_CHECKPOINTS.stats)
+    run = (program_name, config_name, dict(enumerate(prefix)), sleep,
+           len(prefix), fault, seed, max_cycles, prune)
     program, machine, policy, history, error, pruned_at, recorder, obs = (
-        _execute(program_name, config_name, dict(enumerate(prefix)),
-                 sleep, len(prefix), fault, seed, max_cycles,
-                 record=prune, checkpoint_ctx=ctx))
+        _execute(*run, checkpoint_ctx=ctx))
     verdict = None
     if pruned_at is None:
         verdict = _make_verdict(program_name, config_name, fault, seed,
                                 program, machine, policy, history, error,
                                 obs=obs)
+        if verdict.failed:
+            _trace_failure(verdict, run)
     children = _make_children(prefix, policy, recorder, max_depth,
                               machine.config.n_cpus)
     cache = None
@@ -1157,12 +1168,13 @@ def replay(program_name, config_name, deviations, fault=None, seed=1,
 
     Forcing exactly the deviating steps (every other step takes the
     deterministic pick) reconstructs the original schedule bit-for-bit,
-    so a counterexample replays from its name alone.
+    so a counterexample replays from its name alone.  The replay always
+    runs with a tracer, so a failing verdict carries its trace tail.
     """
     deviations = tuple(sorted(tuple(d) for d in deviations))
     program, machine, policy, history, error, _pruned, _rec, obs = (
         _execute(program_name, config_name, dict(deviations), (), 0,
-                 fault, seed, max_cycles, record=False))
+                 fault, seed, max_cycles, record=False, trace=True))
     return _make_verdict(program_name, config_name, fault, seed,
                          program, machine, policy, history, error,
                          obs=obs)

@@ -58,13 +58,14 @@ from repro.check.oracles import (
     check_cycle_conservation,
     check_fault_quiescence,
     check_lost_wakeups,
+    check_rerun,
     check_serializability,
 )
 from repro.check.programs import PROGRAMS, make_program
 from repro.spec.replay import check_conformance
 
-#: Events kept in each case's trace-on-failure ring (the last K; a
-#: failing case ships them home attached to its result).
+#: Events kept in a failing case's trace tail (the last K of its
+#: traced re-run; shipped home attached to the result).
 TRACE_RING = 64
 
 #: The configuration matrix, named so failures replay by name.
@@ -108,8 +109,8 @@ class CaseResult:
     fault: str = None            # fault name, if one was injected
     n_injections: int = 0        # how many times the plan fired
     fired: tuple = ()            # (opportunity, cpu, detail) per injection
-    #: Last-K trace ring of a *failing* run (empty on a pass), shipped
-    #: back picklable from campaign workers.
+    #: Last-K trace tail of a *failing* case, from its traced re-run
+    #: (empty on a pass); shipped back picklable from campaign workers.
     trace: tuple = ()
 
     @property
@@ -189,14 +190,39 @@ def run_case(program_name, config_name, policy_name, seed,
     given — the fault plan's entire decision stream.  ``max_cycles``
     overrides the program's budget (the broken-fault self-tests use a
     small budget so a deliberate livelock fails fast).
+
+    The case runs without a tracer.  A failing case is run a second time
+    with one attached and ships that run's trace tail; being a pure
+    function of its name, the re-run must reach the same verdict, or the
+    ``nondeterminism`` oracle fires.
     """
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
+    case = (program_name, config_name, policy_name, seed, fault,
+            change_points, max_cycles)
+    result, signature = _run_once(*case, trace=False)
+    if result.failed:
+        traced, traced_signature = _run_once(*case, trace=True)
+        result.trace = traced.trace
+        result.violations += check_rerun(
+            (result.violations, signature),
+            (traced.violations, traced_signature))
+    return result
+
+
+def _run_once(program_name, config_name, policy_name, seed, fault,
+              change_points, max_cycles, trace):
+    """One run of a case: ``(CaseResult, commit signature)``.
+
+    With ``trace`` a last-K tracer rides along and a failing result
+    carries its tail; it attaches last, so it sits outermost on the
+    shared seams and perturbs no cycle of the run.
+    """
     program = make_program(program_name, seed=seed)
     config = build_config(config_name, program)
     if not program.supports(config):
         return CaseResult(program_name, config_name, policy_name, seed,
-                          skipped=True, fault=fault)
+                          skipped=True, fault=fault), None
     policy_kwargs = {}
     if change_points is not None:
         policy_kwargs["change_points"] = change_points
@@ -210,12 +236,12 @@ def run_case(program_name, config_name, policy_name, seed,
     runtime = Runtime(machine)
     arena = SharedArena(machine)
     recorder = HistoryRecorder(machine)
-    # Observability rides along on every case: the profiler's books are
-    # checked by the conservation oracle, and the last-K trace ring is
-    # attached to the result if the case fails.  Both attach last (so
-    # they sit topmost on the shared seams) and detach first.
+    # The profiler rides along on every case: its books are checked by
+    # the conservation oracle.  Observers attach last (so they sit
+    # topmost on the shared seams) and detach first.
     profiler = CycleProfiler(machine)
-    tracer = Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
+    tracer = (Tracer(machine, sink=RingSink(TRACE_RING, mode="tail"))
+              if trace else None)
     error = None
     try:
         program.setup(machine, runtime, arena)
@@ -223,7 +249,8 @@ def run_case(program_name, config_name, policy_name, seed,
     except ReproError as exc:
         error = exc
     finally:
-        tracer.detach()
+        if tracer is not None:
+            tracer.detach()
         profiler.detach()
         recorder.detach()
         if injector is not None:
@@ -235,7 +262,8 @@ def run_case(program_name, config_name, policy_name, seed,
     return CaseResult(
         program_name, config_name, policy_name, seed,
         violations=violations,
-        trace=tuple(tracer.events) if violations else (),
+        trace=(tuple(tracer.events)
+               if tracer is not None and violations else ()),
         n_committed=len(history),
         commit_cpus=tuple(r.cpu for r in history.committed),
         error=str(error) if error else None,
@@ -244,7 +272,7 @@ def run_case(program_name, config_name, policy_name, seed,
         fault=fault,
         n_injections=injector.n_injections if injector else 0,
         fired=tuple(injector.plan.fired) if injector else (),
-    )
+    ), history.signature()
 
 
 def case_spec(program_name, config_name, policy_name, seed, fault=None):

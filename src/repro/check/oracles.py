@@ -35,6 +35,11 @@ These oracles state what "correct" means, checkable on any schedule:
   scheduling gaps, not computed as a residual, so any cycle the books
   lose — a rollback that failed to reclassify speculative work, an op
   charged twice — surfaces as an imbalance.
+* **Determinism** (:func:`check_rerun`): a failing case is run a second
+  time to capture its trace tail, and since every case is a pure
+  function of its replayable name, the second run must reach the same
+  violations and commit the same history.  A difference means the
+  failure would not replay from its name.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ class OracleViolation:
     """One oracle failure, with enough detail to reason about it."""
 
     oracle: str          # serializability | lost-wakeup | compensation |
-    #                      invariant | run-failure
+    #                      invariant | run-failure | nondeterminism
     detail: str
     cycle: list = None   # txids, for serializability violations
 
@@ -239,6 +244,35 @@ def check_cycle_conservation(account):
         return []
     return [OracleViolation("cycle-conservation", problem)
             for problem in account.problems()]
+
+
+# ----------------------------------------------------------------------
+# Determinism
+# ----------------------------------------------------------------------
+
+def check_rerun(first, second):
+    """A re-run of a case must reproduce it.
+
+    ``first`` and ``second`` are ``(violations, commit signature)`` pairs
+    of two runs of the same case (the signature is
+    :meth:`~repro.check.history.History.signature`).  Zero or one
+    :class:`OracleViolation`.
+    """
+    (violations, signature), (again, signature_again) = first, second
+    problems = []
+    if again != violations:
+        problems.append(f"violations {[str(v) for v in violations]} "
+                        f"became {[str(v) for v in again]}")
+    if signature_again != signature:
+        problems.append(f"the committed history changed "
+                        f"({len(signature)} -> {len(signature_again)} "
+                        f"commits)")
+    if not problems:
+        return []
+    return [OracleViolation(
+        "nondeterminism",
+        "re-running the case did not reproduce it: "
+        + "; ".join(problems))]
 
 
 # ----------------------------------------------------------------------

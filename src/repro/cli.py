@@ -171,6 +171,10 @@ def cmd_trace(args):
 
     kinds = (frozenset(args.kinds.split(",")) if args.kinds
              else ALL_KINDS)
+    unknown = sorted(kinds - ALL_KINDS)
+    if unknown:
+        raise SystemExit(f"unknown trace kinds {unknown}; "
+                         f"choose from {sorted(ALL_KINDS)}")
     if args.target in WORKLOADS:
         workload = WORKLOADS[args.target](
             n_threads=args.cpus, scale=args.scale)
@@ -362,7 +366,7 @@ def cmd_explore(args):
         parse_deviations,
         replay,
     )
-    from repro.check.fuzz import CONFIGS, shrink_change_points
+    from repro.check.fuzz import CONFIGS, FAULTS, shrink_change_points
     from repro.check.programs import LITMUS_PROGRAMS, PROGRAMS
 
     fault = args.inject_fault or None
@@ -377,9 +381,28 @@ def cmd_explore(args):
             print("--replay wants [fault:]program:config:deviations "
                   "(deviations like 3@1,7@0, or det)", file=sys.stderr)
             return 2
-        verdict = replay(program, config, parse_deviations(devstr),
-                         fault=fault, seed=args.seed)
+        for name, universe, what in ((program, PROGRAMS, "program"),
+                                     (config, CONFIGS, "config"),
+                                     (fault, FAULTS, "fault")):
+            if name is not None and name not in universe:
+                raise SystemExit(f"--replay: unknown {what} {name!r}; "
+                                 f"choose from {sorted(universe)}")
+        try:
+            deviations = parse_deviations(devstr)
+        except ValueError:
+            raise SystemExit(
+                f"--replay: bad deviations {devstr!r}; expected "
+                f"step@cpu pairs like 3@1,7@0, or det") from None
+        verdict = replay(program, config, deviations, fault=fault,
+                         seed=args.seed)
         print(verdict)
+        if verdict.divergences:
+            # A forced choice that never applied means this is not the
+            # schedule the name describes; its verdict proves nothing.
+            print(f"replay diverged: forced (step, cpu) choices "
+                  f"{list(verdict.divergences)} were not available",
+                  file=sys.stderr)
+            return 1
         return 1 if verdict.failed else 0
 
     def pick(raw, universe, what):
@@ -776,11 +799,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     for flag, floor in (("seeds", 1), ("jobs", 1), ("timeout", 0),
                         ("max_depth", 0), ("max_schedules", 0),
-                        ("limit", 0)):
+                        ("limit", 0), ("cpus", 1), ("max_threads", 1),
+                        ("max_pairs", 1)):
         value = getattr(args, flag, None)
         if value is not None and value < floor:
             raise SystemExit(f"--{flag.replace('_', '-')} must be "
                              f">= {floor} (got {value})")
+    scale = getattr(args, "scale", None)
+    if scale is not None and not scale > 0:
+        raise SystemExit(f"--scale must be > 0 (got {scale})")
     return args.fn(args)
 
 

@@ -46,6 +46,21 @@ RESUME = "resume"
 #: Abort code used by the condsync runtime's ``retry``.
 RETRY_CODE = "__retry__"
 
+# Shared instances of the ops the runtime yields with fixed fields.  Ops
+# are frozen, so one instance serves every yield (as Cpu interns its
+# load/alu ops) instead of a dataclass construction per instruction.
+_XBEGIN = O.XBegin()
+_XBEGIN_OPEN = O.XBegin(open=True)
+_XVALIDATE = O.XValidate()
+_XCOMMIT = O.XCommit()
+_XVCLEAR = O.XVClear()
+_XVRET = O.XVRet()
+_XREGRESTORE = O.XRegRestore()
+_YIELDCPU = O.YieldCpu()
+_XENVIOLREP = O.XEnViolRep()
+_SERIAL_ACQUIRE = O.SerialAcquire()
+_SERIAL_RELEASE = O.SerialRelease()
+
 
 class Runtime:
     """Machine-wide software runtime; holds the dispatcher code ids."""
@@ -104,7 +119,7 @@ class Runtime:
         # register handlers in that window, so the tops are still
         # current).
         rt.snapshot_bases(old_depth + 1)
-        level = yield O.XBegin(open=open_)
+        level = yield _XBEGIN_OPEN if open_ else _XBEGIN
         if level != old_depth + 1:
             # Flattening subsumed this transaction; the real outer
             # transaction's snapshot stays authoritative.
@@ -124,12 +139,12 @@ class Runtime:
         flattened = t.xstatus()["level"] != level
         publishes = t.commit_publishes()
         frame = tcb.frame_addr(t.cpu_id, level)
-        yield O.XValidate()
+        yield _XVALIDATE
         base = yield t.imld(frame + tcb.CH_TOP * WORD_SIZE)
         yield t.alu()  # any commit handlers?
         if publishes:
             yield from self._run_commit_handlers(t, base)
-        yield O.XCommit()
+        yield _XCOMMIT
         yield t.alu()  # pop xtcbptr_top
         t.isa.xtcbptr_top = tcb.frame_addr(t.cpu_id, t.depth())
         if flattened:
@@ -202,7 +217,7 @@ class Runtime:
                     mode = "run"
                 if mode == "park":
                     mode = "run"
-                    yield O.YieldCpu()
+                    yield _YIELDCPU
                     t.stats.add("rt.parks")
                 if mode == "pause":
                     # Loser-side pause: give the winning requester's
@@ -309,7 +324,7 @@ class Runtime:
         transaction itself are delivered.
         """
         if t.dispatch_depth and not t.isa.viol_reporting:
-            yield O.XEnViolRep()
+            yield _XENVIOLREP
         result = yield from self.atomic(t, body, *args, open_=True)
         return result
 
@@ -357,12 +372,12 @@ class Runtime:
             if rollback.reason != "capacity":
                 raise
         t.stats.add("rt.serial_fallbacks")
-        while not (yield O.SerialAcquire()):
+        while not (yield _SERIAL_ACQUIRE):
             yield t.alu(20)
         try:
             result = yield from body(t, *args)
         finally:
-            yield O.SerialRelease()
+            yield _SERIAL_RELEASE
         return result
 
     def abort(self, t, code=None):
@@ -429,8 +444,8 @@ class Runtime:
         if depth == 0:
             # The conflicting transaction already finished (e.g. the
             # violation raced with our commit); nothing to do.
-            yield O.XVClear()
-            yield O.XVRet()
+            yield _XVCLEAR
+            yield _XVRET
             return HandlerOutcome.resume()
         mask = t.isa.xvcurrent or (1 << (depth - 1))
         vaddr = t.isa.xvaddr
@@ -456,14 +471,14 @@ class Runtime:
         action = yield from self._walk_back(
             t, rt.vh_top, rt.vh_base_of(target), "violation")
         if action == RESUME:
-            yield O.XVClear()
-            yield O.XVRet()
+            yield _XVCLEAR
+            yield _XVRET
             return HandlerOutcome.resume()
         yield O.XRwSetClear(level=target)
-        yield O.XRegRestore()
+        yield _XREGRESTORE
         rt.reset_to(target)
         yield t.alu()  # restore handler-stack tops
-        yield O.XVRet()
+        yield _XVRET
         return HandlerOutcome.rollback(target, "violation", vaddr=vaddr)
 
     def _abort_dispatcher(self, t):
@@ -479,14 +494,14 @@ class Runtime:
         action = yield from self._walk_back(
             t, rt.ah_top, rt.ah_base_of(target), "abort")
         if action == RESUME:
-            yield O.XVClear()
-            yield O.XVRet()
+            yield _XVCLEAR
+            yield _XVRET
             return HandlerOutcome.resume()
         yield O.XRwSetClear(level=target)
-        yield O.XRegRestore()
+        yield _XREGRESTORE
         rt.reset_to(target)
         yield t.alu()
-        yield O.XVRet()
+        yield _XVRET
         return HandlerOutcome.rollback(target, "abort", code=code)
 
     def _walk_back(self, t, top, stop, kind):

@@ -35,9 +35,10 @@ priorities are derived from ``seed`` and the CPU id alone (never from
 hash ordering or encounter order).
 
 Every pick sits on the engine's per-step path, so the helpers keep it
-cheap without changing it: candidates are keyed with C-level
-``operator.attrgetter`` keys, and :class:`PriorityPolicy` derives each
-CPU's static priority once per instance rather than on every step.
+cheap without changing it: candidates are sorted once with a C-level
+``operator.attrgetter`` key, and :class:`PriorityPolicy` derives each
+CPU's static priority once per instance and memoizes each CPU's rank
+until the next demotion.
 """
 
 from __future__ import annotations
@@ -50,17 +51,18 @@ from operator import attrgetter
 #: their partners runnable promptly, large enough to reorder commits.
 DEFAULT_WINDOW = 250
 
-_resume_at = attrgetter("resume_at")
 _resume_at_then_id = attrgetter("resume_at", "cpu_id")
 
 
 def window_candidates(runnable, window):
     """The runnable CPUs within ``window`` cycles of the earliest one,
     in deterministic (resume_at, cpu_id) order."""
-    limit = min(map(_resume_at, runnable)) + window
-    candidates = [cpu for cpu in runnable if cpu.resume_at <= limit]
-    candidates.sort(key=_resume_at_then_id)
-    return candidates
+    candidates = sorted(runnable, key=_resume_at_then_id)
+    limit = candidates[0].resume_at + window
+    if candidates[-1].resume_at <= limit:
+        # The common case: every runnable CPU is in the window.
+        return candidates
+    return [cpu for cpu in candidates if cpu.resume_at <= limit]
 
 
 class SchedulePolicy:
@@ -250,6 +252,24 @@ class ControlledPolicy(SchedulePolicy):
         self.sleep = set(sleep)
 
 
+class _RankTable(dict):
+    """CPU -> PCT rank, computed by ``rank`` on first lookup.
+
+    A rank depends only on the CPU id and the demotion state, so an
+    entry stays exact until the next demotion (or restore), which
+    clears the table."""
+
+    __slots__ = ("rank",)
+
+    def __init__(self, rank):
+        super().__init__()
+        self.rank = rank
+
+    def __missing__(self, cpu):
+        rank = self[cpu] = self.rank(cpu)
+        return rank
+
+
 class PriorityPolicy(SchedulePolicy):
     """PCT-style priority scheduling with ``depth`` change-points.
 
@@ -291,6 +311,8 @@ class PriorityPolicy(SchedulePolicy):
         #: cpu_id -> static priority, filled on first sight.  A pure
         #: function of (seed, cpu_id), so it is never snapshotted.
         self._priorities = {}
+        #: CPU -> rank memo for :meth:`choose`, cleared on demotion.
+        self._ranks = _RankTable(self._rank)
 
     def _static_priority(self, cpu_id):
         # Derived from (seed, cpu_id) alone: stable across runs and
@@ -315,12 +337,13 @@ class PriorityPolicy(SchedulePolicy):
         candidates = window_candidates(runnable, self.window)
         # Ties in rank go to the lowest (resume_at, cpu_id): candidates
         # arrive sorted that way and min keeps the first of equal keys.
-        chosen = min(candidates, key=self._rank)
+        chosen = min(candidates, key=self._ranks.__getitem__)
         if (self._next_point < len(self.change_points)
                 and self._steps >= self.change_points[self._next_point]):
             self._next_point += 1
             self._demote_seq += 1
             self._demoted[chosen.cpu_id] = self._demote_seq
+            self._ranks.clear()
             self.fired.append((self._steps, chosen.cpu_id))
         return chosen
 
@@ -336,6 +359,7 @@ class PriorityPolicy(SchedulePolicy):
         (self._steps, self._next_point, self._demote_seq,
          demoted, fired) = saved
         self._demoted = dict(demoted)
+        self._ranks.clear()
         self.fired[:] = fired
 
 

@@ -63,6 +63,31 @@ class TestExploreErrors:
         assert main(["explore", "--replay", "just-one-part"]) == 2
         assert "deviations" in capsys.readouterr().err
 
+    def test_replay_with_a_bad_deviation(self):
+        message = _exit_message(
+            ["explore", "--replay", "litmus-sb:lazy-wb-assoc:3@x"])
+        assert "3@x" in message
+
+    @pytest.mark.parametrize("replay,bad", [
+        ("bogus:lazy-wb-assoc:det", "bogus"),
+        ("litmus-sb:sparc-v9:det", "sparc-v9"),
+        ("gremlins:litmus-sb:lazy-wb-assoc:det", "gremlins"),
+    ])
+    def test_replay_with_an_unknown_name(self, replay, bad):
+        assert bad in _exit_message(["explore", "--replay", replay])
+
+    def test_replay_that_diverges_fails(self, capsys):
+        """A forced choice naming an absent CPU used to replay the
+        deterministic schedule and report it as a pass."""
+        code = main(["explore", "--replay", "litmus-sb:lazy-wb-assoc:1@9"])
+        assert code == 1
+        assert "(1, 9)" in capsys.readouterr().err
+
+    def test_faithful_replay_passes(self, capsys):
+        assert main(["explore", "--replay",
+                     "litmus-sb:lazy-wb-assoc:det"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestConformErrors:
     def test_bad_program_name(self):
@@ -112,6 +137,36 @@ class TestEmptyCampaigns:
         bogus itimer error, a negative depth silently explored one
         schedule, and a negative trace limit died with a traceback."""
         assert f"{flag} must be >= 0" in _exit_message(argv)
+
+
+class TestSizeFlags:
+    """Sizes that describe no machine or no work fail loudly instead of
+    ending in a traceback or a chart of made-up figures."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["figure5", "--cpus", "0"], "--cpus"),
+        (["trace", "swim", "--cpus", "0"], "--cpus"),
+        (["profile", "swim", "--cpus", "-2"], "--cpus"),
+        (["io", "--max-threads", "0"], "--max-threads"),
+        (["condsync", "--max-pairs", "0"], "--max-pairs"),
+        (["all", "--max-pairs", "-1"], "--max-pairs"),
+    ])
+    def test_counts_below_one_rejected(self, argv, flag):
+        assert f"{flag} must be >= 1" in _exit_message(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["figure5", "--scale", "-1"],
+        ["trace", "swim", "--scale", "0"],
+        ["io", "--scale", "nan"],
+    ])
+    def test_scale_must_be_positive(self, argv):
+        assert "--scale must be > 0" in _exit_message(argv)
+
+    def test_unknown_trace_kind(self):
+        message = _exit_message(
+            ["trace", "litmus-sb", "--kinds", "commit,bogus"])
+        assert "bogus" in message
+        assert "commit" in message  # the universe is named
 
 
 class TestConformSmoke:

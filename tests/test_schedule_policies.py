@@ -14,6 +14,7 @@ The contract of :mod:`repro.sim.schedule`:
 
 import hashlib
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,6 +273,111 @@ def test_randomized_picks_equal_the_original_formulas(
     controlled = ControlledPolicy(forced=forced, window=window)
     assert ([controlled.choose(runnable).cpu_id for runnable in steps]
             == _reference_controlled_picks(forced, window, steps))
+
+
+# Copies of the pick helpers as they stood before candidate lists were
+# built by one sort and PCT ranks were memoized between demotions.
+
+def _head_window_candidates(runnable, window):
+    limit = min(map(attrgetter("resume_at"), runnable)) + window
+    candidates = [cpu for cpu in runnable if cpu.resume_at <= limit]
+    candidates.sort(key=attrgetter("resume_at", "cpu_id"))
+    return candidates
+
+
+class _HeadPriorityPolicy(PriorityPolicy):
+    """PCT ranking every candidate through ``_rank`` on every step."""
+
+    def choose(self, runnable):
+        self._steps += 1
+        candidates = _head_window_candidates(runnable, self.window)
+        chosen = min(candidates, key=self._rank)
+        if (self._next_point < len(self.change_points)
+                and self._steps >= self.change_points[self._next_point]):
+            self._next_point += 1
+            self._demote_seq += 1
+            self._demoted[chosen.cpu_id] = self._demote_seq
+            self.fired.append((self._steps, chosen.cpu_id))
+        return chosen
+
+
+@st.composite
+def _edge_steps(draw):
+    """Runnable sets, as ``(cpu_id, resume_at)`` pairs, whose resume_ats
+    sit on both sides of the window edge, with frequent ties and
+    single-CPU steps."""
+    window = draw(st.sampled_from([0, 1, 7, 250]))
+    base = draw(st.integers(0, 1_000))
+    offsets = sorted({0, max(0, window - 1), window, window + 1})
+    steps = []
+    for _ in range(draw(st.integers(1, 40))):
+        ids = draw(st.lists(st.integers(0, 7), min_size=1, max_size=6,
+                            unique=True))
+        steps.append([(cpu_id, base + draw(st.sampled_from(offsets)))
+                      for cpu_id in ids])
+    return window, steps
+
+
+class _CpuPool:
+    """One persistent :class:`FakeCpu` per id, as the engine keeps its
+    ``Cpu`` objects: a step moves their ``resume_at`` and hands the
+    same objects to the policy again, so memoized ranks are reused."""
+
+    def __init__(self):
+        self.cpus = {}
+
+    def runnable(self, step):
+        out = []
+        for cpu_id, resume_at in step:
+            cpu = self.cpus.setdefault(cpu_id, FakeCpu(cpu_id, resume_at))
+            cpu.resume_at = resume_at
+            out.append(cpu)
+        return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_edge_steps())
+def test_window_candidates_equal_the_head_helper_at_the_edge(case):
+    window, steps = case
+    pool = _CpuPool()
+    for step in steps:
+        runnable = pool.runnable(step)
+        got = window_candidates(runnable, window)
+        assert got == _head_window_candidates(runnable, window)
+        assert got is not runnable
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_edge_steps(), seed=st.integers(0, 2**32),
+       change_points=st.lists(st.integers(1, 40), min_size=2, max_size=12),
+       split=st.integers(0, 40))
+def test_pct_memoized_ranks_survive_demotions_and_restores(
+        case, seed, change_points, split):
+    """Many demotions, then a snapshot/restore round trip in the middle:
+    every pick and every fired change-point equals the unmemoized
+    policy's, including the picks replayed after the restore."""
+    window, steps = case
+    split = min(split, len(steps))
+    pool = _CpuPool()
+    fast = PriorityPolicy(seed=seed, change_points=change_points,
+                          window=window)
+    head = _HeadPriorityPolicy(seed=seed, change_points=change_points,
+                               window=window)
+
+    def picks(policy, part):
+        return [policy.choose(pool.runnable(step)).cpu_id for step in part]
+
+    prefix, rest = steps[:split], steps[split:]
+    assert picks(fast, prefix) == picks(head, prefix)
+    saved, head_saved = fast.snapshot_state(), head.snapshot_state()
+    first = picks(fast, rest)
+    assert first == picks(head, rest)
+    assert fast.fired == head.fired
+    fast.restore_state(saved)
+    head.restore_state(head_saved)
+    assert picks(fast, rest) == first
+    assert picks(head, rest) == first
+    assert fast.fired == head.fired
 
 
 #: sha256 over ``(name, n_committed, commit_cpus, fired_points)`` of
