@@ -46,16 +46,22 @@ WORKLOADS["iolog"] = IoLogWorkload
 WORKLOADS["detstress"] = DetectionStressKernel
 
 
+#: The workload seed every Figure 5 bar runs with.
+FIGURE5_SEED = 1
+
+
 def cmd_figure5(args):
     comparisons = []
     for kernel in SCIENTIFIC_KERNELS:
         comparisons.append(compare_nesting(
-            lambda n, cls=kernel: cls(n_threads=n, scale=args.scale),
+            lambda n, cls=kernel: cls(
+                n_threads=n, seed=FIGURE5_SEED, scale=args.scale),
             n_cpus=args.cpus))
     for variant in ("closed", "open"):
         comparisons.append(compare_nesting(
             lambda n, v=variant: JbbWorkload(
-                n_threads=n, variant=v, scale=args.scale),
+                n_threads=n, seed=FIGURE5_SEED, variant=v,
+                scale=args.scale),
             n_cpus=args.cpus))
     print(format_figure5(comparisons))
     print()
@@ -64,9 +70,20 @@ def cmd_figure5(args):
         title="bar heights (nesting vs flattening):"))
     json_path = getattr(args, "json", "")
     if json_path:
-        from repro.harness.export import comparison_to_dict, dump_json
+        from repro.harness.export import (
+            comparison_to_dict,
+            dump_json,
+            run_manifest,
+        )
 
-        dump_json([comparison_to_dict(c) for c in comparisons], json_path)
+        # The config digest names the nested machine; each bar's
+        # sequential and flattened runs differ from it only in n_cpus
+        # and flatten.
+        manifest = run_manifest(
+            paper_config(n_cpus=args.cpus), FIGURE5_SEED, args)
+        dump_json({"manifest": manifest,
+                   "bars": [comparison_to_dict(c) for c in comparisons]},
+                  json_path)
         print(f"wrote {json_path}")
     return 0
 
@@ -222,9 +239,14 @@ def cmd_trace(args):
     print(format_cycle_accounting(
         account, title=f"cycle accounting ({args.target})"))
     if args.metrics:
+        from repro.harness.export import dump_json, run_manifest
+
         registry = machine_metrics(machine)
         account_metrics(account, registry)
-        registry.to_json(args.metrics)
+        metrics = registry.snapshot()
+        metrics["manifest"] = run_manifest(
+            config, getattr(workload, "seed", args.seed), args)
+        dump_json(metrics, args.metrics)
         print(f"wrote metrics JSON to {args.metrics}")
     if error is not None:
         print(f"trace: run FAILED: {error}", file=sys.stderr)

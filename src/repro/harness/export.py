@@ -7,8 +7,11 @@ dicts, and the CLI grows ``--json`` via :func:`dump_json`.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
 import io
 import json
+import platform
 
 
 def comparison_to_dict(comparison):
@@ -48,6 +51,25 @@ def profile_to_dict(profile):
         for level, count in profile.rollbacks_by_level.items()
     }
     return data
+
+
+def run_manifest(config, seed, args):
+    """The provenance block of a run's JSON artifact.
+
+    Names the git revision, Python version, a sha256 of the machine
+    configuration, the seed and the command-line arguments, so two
+    results can be told apart and the run repeated."""
+    from repro.harness.bench import git_rev
+
+    config_json = json.dumps(dataclasses.asdict(config), sort_keys=True)
+    return {
+        "git_rev": git_rev(),
+        "python": platform.python_version(),
+        "config_sha256": hashlib.sha256(config_json.encode()).hexdigest(),
+        "seed": seed,
+        "args": {name: value for name, value in sorted(vars(args).items())
+                 if name != "fn"},
+    }
 
 
 def dump_json(payload, path=None):

@@ -106,7 +106,7 @@ class MultiTrackingScheme(NestingSchemeBase):
         line = addr - addr % self._line_size
         bit = 1 << (level - 1)
         if line not in self._lines:
-            set_index = self._set_index(line)
+            set_index = (line // self._line_size) % self.n_sets
             if len(self._sets[set_index]) >= self.assoc:
                 self._stats.add("nesting.overflows")
                 raise CapacityAbort(
@@ -190,7 +190,7 @@ class AssociativityScheme(NestingSchemeBase):
         key = (line, level)
         if key in self._entries:
             return
-        set_index = self._set_index(line)
+        set_index = (line // self._line_size) % self.n_sets
         occupied = self._sets[set_index]
         if len(occupied) >= self.assoc:
             self._stats.add("nesting.overflows")
@@ -203,31 +203,37 @@ class AssociativityScheme(NestingSchemeBase):
             # the data into a new way — count it for the evaluation.
             self._stats.add("nesting.replications")
 
-    def _remove(self, key):
-        self._entries.discard(key)
-        self._sets[self._set_index(key[0])].discard(key)
+    def _remove_all(self, keys):
+        """Drop ``keys`` (one call per gang-clear walk, not per entry)."""
+        entries, sets = self._entries, self._sets
+        line_size, n_sets = self._line_size, self.n_sets
+        for key in keys:
+            entries.discard(key)
+            sets[(key[0] // line_size) % n_sets].discard(key)
 
     def commit_closed(self, level):
+        entries, sets = self._entries, self._sets
+        line_size, n_sets = self._line_size, self.n_sets
         merged = 0
-        for key in [k for k in self._entries if k[1] == level]:
+        for key in [k for k in entries if k[1] == level]:
             line = key[0]
-            self._remove(key)
+            occupied = sets[(line // line_size) % n_sets]
+            entries.discard(key)
+            occupied.discard(key)
             merged += 1
             parent_key = (line, level - 1)
-            if level - 1 >= 1 and parent_key not in self._entries:
+            if level - 1 >= 1 and parent_key not in entries:
                 # Relabel NL=i to NL=i-1 (merge if the parent entry exists).
-                self._entries.add(parent_key)
-                self._sets[self._set_index(line)].add(parent_key)
+                entries.add(parent_key)
+                occupied.add(parent_key)
         self._stats.add("nesting.lazy_merge_lines", merged)
         return merged
 
     def commit_open(self, level):
-        for key in [k for k in self._entries if k[1] == level]:
-            self._remove(key)
+        self._remove_all([k for k in self._entries if k[1] == level])
 
     def rollback(self, level):
-        for key in [k for k in self._entries if k[1] >= level]:
-            self._remove(key)
+        self._remove_all([k for k in self._entries if k[1] >= level])
 
     def clear_all(self):
         self._entries.clear()

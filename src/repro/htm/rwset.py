@@ -122,8 +122,29 @@ class ConflictIndex:
     def clear_read(self, cpu_id, unit, mask):
         self._clear(self.readers, cpu_id, unit, mask)
 
-    def clear_write(self, cpu_id, unit, mask):
-        self._clear(self.writers, cpu_id, unit, mask)
+    def retag_level(self, cpu_id, reads, writes, bit, parent_bit=0):
+        """Clear ``bit`` from ``cpu_id``'s entry for every unit in
+        ``reads``/``writes`` and, when ``parent_bit`` is set, then set
+        that bit: one call per level for the commit and rollback walks.
+        Bit-for-bit the per-unit ``clear_*``/``set_*`` sequence,
+        insertion order of both tables included."""
+        for table, units in ((self.readers, reads), (self.writers, writes)):
+            for unit in units:
+                owners = table.get(unit)
+                if owners is not None:
+                    bits = owners.get(cpu_id, 0) & ~bit
+                    if bits:
+                        owners[cpu_id] = bits
+                    else:
+                        owners.pop(cpu_id, None)
+                        if not owners:
+                            del table[unit]
+                            owners = None
+                if parent_bit:
+                    if owners is None:
+                        table[unit] = {cpu_id: parent_bit}
+                    else:
+                        owners[cpu_id] = owners.get(cpu_id, 0) | parent_bit
 
 
 class RwSets:
@@ -139,8 +160,11 @@ class RwSets:
         self._config = config
         self._index = index
         self._cpu_id = cpu_id
-        self._reads = {}   # level -> set of units
-        self._writes = {}  # level -> set of units
+        # level -> set of units.  The HTM front end aliases both dicts
+        # for its repeat-access filter, so they are mutated in place
+        # only, never rebound (restore_state included).
+        self._reads = {}
+        self._writes = {}
 
     # -- snapshot support ----------------------------------------------------
 
@@ -152,8 +176,12 @@ class RwSets:
 
     def restore_state(self, saved):
         reads, writes = saved
-        self._reads = {level: set(units) for level, units in reads.items()}
-        self._writes = {level: set(units) for level, units in writes.items()}
+        self._reads.clear()
+        self._reads.update(
+            {level: set(units) for level, units in reads.items()})
+        self._writes.clear()
+        self._writes.update(
+            {level: set(units) for level, units in writes.items()})
 
     # -- unit mapping --------------------------------------------------------
 
@@ -270,16 +298,9 @@ class RwSets:
         child_writes = self._writes.pop(level)
         merged = len(child_reads) + len(child_writes)
         if self._index is not None:
-            index, cpu_id = self._index, self._cpu_id
-            child_bit = 1 << (level - 1)
-            for unit in child_reads:
-                index.clear_read(cpu_id, unit, child_bit)
-                if parent >= 1:
-                    index.set_read(cpu_id, unit, parent)
-            for unit in child_writes:
-                index.clear_write(cpu_id, unit, child_bit)
-                if parent >= 1:
-                    index.set_write(cpu_id, unit, parent)
+            self._index.retag_level(
+                self._cpu_id, child_reads, child_writes, 1 << (level - 1),
+                1 << (parent - 1) if parent >= 1 else 0)
         if parent >= 1:
             self._reads[parent] |= child_reads
             self._writes[parent] |= child_writes
@@ -290,11 +311,8 @@ class RwSets:
         reads = self._reads.pop(level, None)
         writes = self._writes.pop(level, None)
         if self._index is not None:
-            bit = 1 << (level - 1)
-            for unit in reads or ():
-                self._index.clear_read(self._cpu_id, unit, bit)
-            for unit in writes or ():
-                self._index.clear_write(self._cpu_id, unit, bit)
+            self._index.retag_level(
+                self._cpu_id, reads or (), writes or (), 1 << (level - 1))
 
     def discard_all(self):
         if self._index is not None:

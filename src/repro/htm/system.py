@@ -67,6 +67,11 @@ class TxState:
         self._add_read = self.rwsets.add_read_unit
         self._add_write = self.rwsets.add_write_unit
         self._note_access = self.nesting.note_access
+        # level -> unit set: the RwSets tables themselves (mutated in
+        # place only), probed by the repeat-access filter in
+        # HtmSystem.load/store.
+        self._level_reads = self.rwsets._reads
+        self._level_writes = self.rwsets._writes
         self.levels = []          # stack of LevelInfo, index 0 = level 1
         self.flatten_extra = 0    # subsumed inner transactions when flattening
         self.timestamp = 0        # outermost xbegin cycle (eager priority)
@@ -83,7 +88,12 @@ class TxState:
         return self.levels[-1]
 
     def is_validated(self):
-        return any(info.status == VALIDATED for info in self.levels)
+        # A loop, not any(<genexpr>): the eager detector asks this of
+        # every victim, and the generator costs a call per level.
+        for info in self.levels:
+            if info.status == VALIDATED:
+                return True
+        return False
 
     def flush_stats(self):
         """Fold deferred per-access counts into the stats tree."""
@@ -206,7 +216,16 @@ class HtmSystem:
             action = self.detector.on_load(cpu_id, unit)
             if action != PROCEED:
                 return action, None
-        if level >= 1:
+        # Repeat-access filter.  Invariant: a unit in the level-L read
+        # (write) set has had its line recorded by note_access at level
+        # L as a read (write).  begin, closed commit, open/outer commit,
+        # rollback_to and abandon_all open, merge and drop the rwsets
+        # and the nesting state together, so the invariant survives
+        # them; release only shrinks the read set, which sends the next
+        # access down the (idempotent) slow path again.  A CapacityAbort
+        # from note_access leaves the unit in the set unrecorded; the
+        # engine rolls back to level 1 in the same step, dropping it.
+        if level >= 1 and unit not in state._level_reads[level]:
             state._add_read(level, unit)
             state._note_access(level, addr, NestingSchemeBase.READ)
         value = state._tx_load(level, addr)
@@ -223,8 +242,10 @@ class HtmSystem:
             if action != PROCEED:
                 return action
         if level >= 1:
-            state._add_write(level, unit)
-            state._note_access(level, addr, NestingSchemeBase.WRITE)
+            # Repeat-access filter: see the invariant in load().
+            if unit not in state._level_writes[level]:
+                state._add_write(level, unit)
+                state._note_access(level, addr, NestingSchemeBase.WRITE)
             state._tx_store(level, addr, value)
         else:
             # Non-transactional store: update memory and, in a lazy

@@ -159,6 +159,10 @@ class WriteBufferVersioning(VersionManagerBase):
     def __init__(self, config, memory, stats):
         super().__init__(config, memory, stats)
         self._buffers = {}  # level -> {word addr: value}
+        # The memory image's word dict (restored in place, never
+        # rebound): tx_load reads it directly instead of calling
+        # MemoryImage.read on every load that misses the buffers.
+        self._words = memory._words
         # Active levels in descending order, maintained on begin/commit/
         # rollback so the per-load lookup never sorts (hot path).
         self._levels_desc = []
@@ -185,9 +189,12 @@ class WriteBufferVersioning(VersionManagerBase):
         self._relevel()
 
     def tx_load(self, level, addr):
-        # Innermost buffered version wins; fall through to memory.
-        # (No alignment check here: buffered keys were checked by
-        # tx_store, and the memory fallthrough checks on read.)
+        # Innermost buffered version wins; fall through to memory.  The
+        # alignment check is MemoryImage.read's, made up front: buffered
+        # keys were checked by tx_store, so an unaligned address misses
+        # every buffer and raises the same error either way.
+        if addr % WORD_SIZE:
+            raise MemoryError_(f"unaligned word access at {addr:#x}")
         buffers = self._buffers
         for lvl in self._levels_desc:
             if lvl > level:
@@ -195,7 +202,7 @@ class WriteBufferVersioning(VersionManagerBase):
             buffer = buffers[lvl]
             if addr in buffer:
                 return buffer[addr]
-        return self._memory.read(addr)
+        return self._words.get(addr, 0)
 
     def tx_store(self, level, addr, value):
         # The buffer write bypasses MemoryImage, so guard alignment here
@@ -218,8 +225,7 @@ class WriteBufferVersioning(VersionManagerBase):
     def commit_to_memory(self, level, written_units=None):
         child = self._buffers.pop(level)
         self._relevel()
-        for addr, value in child.items():
-            self._memory.write(addr, value)
+        self._memory.write_words(child)
         # Open-nested commit semantics (paper §4.5/§6.3.2): ancestors with
         # their own speculative version of the same data are updated with
         # the committed values, *without* touching their R/W bits.

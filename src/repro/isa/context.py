@@ -127,6 +127,11 @@ _OP_CACHE_LIMIT = 1 << 16
 _LOAD_CACHE = {}
 _IMLOAD_CACHE = {}
 _ALU_CACHE = {}
+_ALU = O.Alu
+_STORE = O.Store
+_new_op = object.__new__
+_set_store_addr = O.Store.addr.__set__
+_set_store_value = O.Store.value.__set__
 
 
 class Cpu:
@@ -205,7 +210,14 @@ class Cpu:
         return op
 
     def store(self, addr, value):
-        return O.Store(addr, value)
+        # Store is a frozen dataclass: its generated __init__ is a Python
+        # frame plus two object.__setattr__ calls.  Filling the two slots
+        # directly builds the identical instance at half the cost, once
+        # per transactional store.
+        op = _new_op(_STORE)
+        _set_store_addr(op, addr)
+        _set_store_value(op, value)
+        return op
 
     def imld(self, addr):
         op = _IMLOAD_CACHE.get(addr)
@@ -226,7 +238,9 @@ class Cpu:
 
     def alu(self, cycles=1):
         op = _ALU_CACHE.get(cycles)
-        if op is None:
+        # The type probe keeps 2.0 or True from hitting the Alu(2) or
+        # Alu(1) entry: O.Alu validates (and rejects) them.
+        if op is None or cycles.__class__ is not int:
             op = O.Alu(cycles)
             if len(_ALU_CACHE) < _OP_CACHE_LIMIT:
                 _ALU_CACHE[cycles] = op
@@ -298,13 +312,16 @@ class Cpu:
 
         This is the table-dispatched executor bound to :attr:`execute`.
         """
-        handler = self._dispatch.get(op.__class__)
+        cls = op.__class__
+        handler = self._dispatch.get(cls)
         if handler is None:
             raise SimulationError(
                 f"cpu {self.cpu_id}: not an operation: {op!r}")
         outcome = handler(op, now)
         if not outcome.stall:
-            count = op.cycles if isinstance(op, O.Alu) else 1
+            # Dispatch is by exact type, so ``is`` matches exactly the
+            # ops ``isinstance(op, O.Alu)`` would, minus a builtin call.
+            count = op.cycles if cls is _ALU else 1
             self.icount += count
             if self.dispatch_depth:
                 # Work done inside violation/abort dispatchers (the paper's
@@ -352,7 +369,8 @@ class Cpu:
             self._self_abort(op.addr)
             return _STALL
         latency = self._mem.access(self.cpu_id, op.addr, True, now)
-        return _UNIT if latency == 1 else latency_outcome(latency)
+        outcome = _latency_cache.get(latency)
+        return outcome if outcome is not None else latency_outcome(latency)
 
     def _exec_imload(self, op, now):
         value = self._htm.im_load(self.cpu_id, op.addr)
@@ -362,19 +380,24 @@ class Cpu:
     def _exec_imstore(self, op, now):
         self._htm.im_store(self.cpu_id, op.addr, op.value)
         latency = self._mem.access(self.cpu_id, op.addr, True, now)
-        return _UNIT if latency == 1 else latency_outcome(latency)
+        outcome = _latency_cache.get(latency)
+        return outcome if outcome is not None else latency_outcome(latency)
 
     def _exec_imstoreid(self, op, now):
         self._htm.im_store_id(self.cpu_id, op.addr, op.value)
         latency = self._mem.access(self.cpu_id, op.addr, True, now)
-        return _UNIT if latency == 1 else latency_outcome(latency)
+        outcome = _latency_cache.get(latency)
+        return outcome if outcome is not None else latency_outcome(latency)
 
     def _exec_release(self, op, now):
         return ExecOutcome(value=self._htm.release(self.cpu_id, op.addr))
 
     def _exec_alu(self, op, now):
         cycles = op.cycles
-        return _UNIT if cycles <= 1 else latency_outcome(cycles)
+        if cycles <= 1:
+            return _UNIT
+        outcome = _latency_cache.get(cycles)
+        return outcome if outcome is not None else latency_outcome(cycles)
 
     def _exec_xbegin(self, op, now):
         return ExecOutcome(value=self._htm.begin(self.cpu_id, op.open, now))

@@ -13,6 +13,9 @@ from repro.common.params import WORD_SIZE
 class WordArray:
     """A fixed-length array of words in the (shared) address space."""
 
+    #: Bytes between consecutive elements.
+    _stride = WORD_SIZE
+
     def __init__(self, arena, length, initial=0, line_align=True):
         self.length = length
         if isinstance(initial, (list, tuple)):
@@ -25,18 +28,28 @@ class WordArray:
 
     def addr(self, index):
         if not 0 <= index < self.length:
-            raise MemoryError_(
-                f"array index {index} out of range [0, {self.length})")
-        return self.base + index * WORD_SIZE
+            self._out_of_range(index)
+        return self.base + index * self._stride
+
+    def _out_of_range(self, index):
+        raise MemoryError_(
+            f"array index {index} out of range [0, {self.length})")
 
     # -- transactional accessors ------------------------------------------------
 
+    # get/set compute the address inline (same bounds check as addr):
+    # they back most workload loads and stores.
+
     def get(self, t, index):
-        value = yield t.load(self.addr(index))
+        if not 0 <= index < self.length:
+            self._out_of_range(index)
+        value = yield t.load(self.base + index * self._stride)
         return value
 
     def set(self, t, index, value):
-        yield t.store(self.addr(index), value)
+        if not 0 <= index < self.length:
+            self._out_of_range(index)
+        yield t.store(self.base + index * self._stride, value)
 
     def add(self, t, index, delta):
         """Read-modify-write; returns the new value."""
@@ -66,8 +79,6 @@ class LineArray(WordArray):
     """
 
     def __init__(self, arena, length, initial=0):
-        from repro.common.params import WORD_SIZE
-
         self.length = length
         words_per_line = arena.config.line_size // WORD_SIZE
         self._stride = words_per_line * WORD_SIZE
@@ -80,9 +91,3 @@ class LineArray(WordArray):
         self.base = arena.alloc(length * words_per_line, line_align=True)
         for i, value in enumerate(values):
             arena.memory.write(self.base + i * self._stride, value)
-
-    def addr(self, index):
-        if not 0 <= index < self.length:
-            raise MemoryError_(
-                f"array index {index} out of range [0, {self.length})")
-        return self.base + index * self._stride

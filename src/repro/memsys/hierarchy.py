@@ -13,7 +13,6 @@ Both are *timing only*; data correctness never depends on them.
 
 from __future__ import annotations
 
-from repro.common.addr import line_of
 from repro.memsys.bus import Bus
 from repro.memsys.cache import Cache
 
@@ -94,14 +93,26 @@ class HierarchicalMemory(MemoryModel):
 
     def access(self, cpu_id, addr, is_write, now):
         extra = 0
+        line_size = self._line_size
+        line = addr - addr % line_size
         if is_write and self._eager:
             # Eager machines acquire exclusive ownership on stores; remote
             # copies are invalidated, and the upgrade costs a bus grant if
-            # anyone actually held the line.
-            extra = self._invalidate_remote(cpu_id, addr, now)
+            # anyone actually held the line.  Lines held by no cache, or
+            # only by this CPU's own, skip the call.
+            for cache in self.residency.get(line, ()):
+                if cache.owner != cpu_id:
+                    extra = self._invalidate_remote(cpu_id, addr, now)
+                    break
+        # The L1 probe is Cache.lookup inlined (same LRU touch, same
+        # counters): it runs for every simulated load and store.
         l1 = self.l1[cpu_id]
-        if l1.lookup(addr):
+        cache_set = l1._sets[(line // line_size) % l1.n_sets]
+        if line in cache_set:
+            cache_set.move_to_end(line)
+            l1.n_hits += 1
             return self._l1_latency + extra
+        l1.n_misses += 1
         if self.l2[cpu_id].lookup(addr):
             l1.insert(addr)
             return self._l2_latency + extra
@@ -134,8 +145,8 @@ class HierarchicalMemory(MemoryModel):
         and invalidate their copies (so later remote reads miss and fetch
         the committed data).
         """
-        lines = sorted({line_of(a, self._config.line_size)
-                        for a in line_addrs})
+        line_size = self._line_size
+        lines = sorted({a - a % line_size for a in line_addrs})
         if not lines:
             return 1
         done = self.bus.acquire(

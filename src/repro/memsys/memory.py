@@ -20,6 +20,8 @@ class MemoryImage:
     """
 
     def __init__(self):
+        # Never rebound: the write-buffer versioning aliases this dict
+        # for its load fallthrough.
         self._words = {}
 
     def read(self, addr):
@@ -33,6 +35,17 @@ class MemoryImage:
         if addr % WORD_SIZE:
             raise MemoryError_(f"unaligned word access at {addr:#x}")
         self._words[addr] = value
+
+    def write_words(self, words):
+        """Write every ``{addr: value}`` item of ``words``, in order: the
+        commit path's bulk form of one :meth:`write` per item, with the
+        same result when an address is unaligned (the items before it
+        are written, then the error is raised)."""
+        for addr in words:
+            if addr % WORD_SIZE:
+                for addr, value in words.items():
+                    self.write(addr, value)
+        self._words.update(words)
 
     def read_block(self, addr, n_words):
         """Read ``n_words`` consecutive words starting at ``addr``."""

@@ -108,7 +108,7 @@ class Machine:
         #: Heap-backed ready queue: (resume_at, cpu_id) entries, kept for
         #: the deterministic policy so picking the next CPU is O(log n)
         #: instead of a full scan.  Entries go stale when a CPU's state
-        #: or resume_at changes; _pop_ready discards them lazily.
+        #: or resume_at changes; the run loop discards them lazily.
         self._ready = []
         self._use_heap = bool(getattr(self.policy, "uses_ready_heap", False))
         #: Non-daemon programs still bound to a CPU; the run loop ends
@@ -233,12 +233,28 @@ class Machine:
         # rebind them mid-run keep working.
         cpus = self.cpus
         heappush = heapq.heappush
+        heappop = heapq.heappop
         choose = self.policy.choose
         steps = 0
         try:
             while self._live_programs > 0:
                 if use_heap:
-                    cpu = self._pop_ready()
+                    # Pop the earliest valid (resume_at, cpu_id) entry.
+                    # Entries are pushed whenever a CPU becomes runnable
+                    # or changes its resume_at; superseded ones (the CPU
+                    # is no longer runnable, or its resume_at moved) are
+                    # dropped here.  Every runnable CPU has an up-to-date
+                    # entry, so the first match is the deterministic
+                    # policy's choice; an empty heap leaves cpu None.
+                    ready = self._ready
+                    cpu = None
+                    while ready:
+                        resume_at, cpu_id = heappop(ready)
+                        candidate = cpus[cpu_id]
+                        if (candidate.state == RUNNABLE and candidate.frames
+                                and candidate.resume_at == resume_at):
+                            cpu = candidate
+                            break
                 else:
                     runnable = [
                         cpu for cpu in cpus
@@ -304,27 +320,6 @@ class Machine:
                 raise failed.failure
         return self.now
 
-    def _pop_ready(self):
-        """Pop the earliest valid (resume_at, cpu_id) ready entry.
-
-        Entries are pushed whenever a CPU becomes runnable or changes
-        its resume_at; superseded entries are detected here (the CPU is
-        no longer runnable, or its resume_at moved) and dropped.  A
-        matching entry is always the deterministic policy's choice:
-        every runnable CPU has an up-to-date entry, so the heap minimum
-        that matches equals the minimum over all runnable CPUs.
-        Returns None when no runnable CPU remains.
-        """
-        ready = self._ready
-        cpus = self.cpus
-        while ready:
-            resume_at, cpu_id = heapq.heappop(ready)
-            cpu = cpus[cpu_id]
-            if (cpu.state == RUNNABLE and cpu.frames
-                    and cpu.resume_at == resume_at):
-                return cpu
-        return None
-
     # ------------------------------------------------------------------
 
     def _step(self, cpu):
@@ -337,7 +332,10 @@ class Machine:
         journal = self._journal
         if journal is not None:
             journal.begin_step(cpu, self.now)
-        if cpu.throw_exc is None:
+        # Pushing a dispatcher leaves throw_exc alone: one read serves
+        # the whole step.
+        exc = cpu.throw_exc
+        if exc is None:
             if cpu.pending_abort:
                 cpu.pending_abort = False
                 self._push_dispatcher(cpu, kind="abort")
@@ -356,13 +354,11 @@ class Machine:
         # The generator resume (``_advance``) is inlined: it runs once
         # per dynamic instruction and the call frame alone is measurable.
         parked = cpu.parked
-        frame_index = len(cpu.frames) - 1
-        if parked and frame_index in parked and cpu.throw_exc is None:
+        if parked and exc is None and len(cpu.frames) - 1 in parked:
             if journal is not None:
                 journal.stage_feed(_FEED_PARKED)
-            op = parked.pop(frame_index)
+            op = parked.pop(len(cpu.frames) - 1)
         else:
-            exc = cpu.throw_exc
             try:
                 if exc is not None:
                     cpu.throw_exc = None
@@ -392,7 +388,7 @@ class Machine:
             return
 
         # Execute.  The frame stack cannot change during execute, so the
-        # fetched frame_index stays valid for the stall-park below.
+        # stall-park below parks the op under the frame it came from.
         now = self.now
         try:
             outcome = cpu.execute(op, now)
@@ -403,10 +399,12 @@ class Machine:
             # Retry quickly: an eager-mode winner must re-issue its access
             # inside the victim's rollback window, before the restarted
             # victim re-acquires the line (the LogTM retry-after-NACK).
-            parked[frame_index] = op
+            parked[len(cpu.frames) - 1] = op
             cpu.resume_at = now + 2
             return
-        self._capacity_retries[cpu.cpu_id] = 0
+        retries = self._capacity_retries
+        if retries[cpu.cpu_id]:
+            retries[cpu.cpu_id] = 0
         cpu.send_value = outcome.value
         latency = outcome.latency
         cpu.resume_at = now + (latency if latency > 1 else 1)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.common.errors import IsaError
+
 
 class Op:
     """Base class for every operation a program can yield."""
@@ -181,9 +183,21 @@ class XVClear(Op):
 @dataclasses.dataclass(frozen=True, slots=True)
 class Alu(Op):
     """``cycles`` of non-memory computation (CPI = 1 per the paper, so this
-    also counts as ``cycles`` dynamic instructions)."""
+    also counts as ``cycles`` dynamic instructions).
+
+    ``cycles`` must be a non-negative ``int``; anything else raises
+    :class:`~repro.common.errors.IsaError` here, at construction, instead
+    of corrupting the instruction count later.
+    """
 
     cycles: int = 1
+
+    def __post_init__(self):
+        cycles = self.cycles
+        if (not isinstance(cycles, int) or isinstance(cycles, bool)
+                or cycles < 0):
+            raise IsaError(
+                f"alu cycles must be a non-negative int, got {cycles!r}")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -575,3 +575,47 @@ class TestWordGranularity:
         machine.run()
         assert machine.results()[0] == "no-conflict"
         assert machine.stats.get("cpu0.htm.violations_received") == 0
+
+
+class TestAluCycles:
+    """Bug: ``Alu`` accepted negative or non-integer cycle counts, so
+    ``yield t.alu(-5); yield t.alu(2)`` ran 3 cycles and reported
+    ``instructions == -3``.  Both constructors now reject them."""
+
+    @pytest.mark.parametrize("cycles", [-5, -1, 2.0, 2.5, True, "3", None])
+    def test_bad_cycles_are_rejected_at_construction(self, cycles):
+        with pytest.raises(IsaError, match="alu cycles"):
+            O.Alu(cycles)
+        machine = Machine(functional_config(n_cpus=1))
+        with pytest.raises(IsaError, match="alu cycles"):
+            machine.cpus[0].alu(cycles)
+
+    def test_interned_entries_do_not_admit_equal_non_ints(self):
+        cpu = Machine(functional_config(n_cpus=1)).cpus[0]
+        assert cpu.alu(2) is cpu.alu(2)
+        assert cpu.alu(1) is cpu.alu()
+        with pytest.raises(IsaError):
+            cpu.alu(2.0)
+        with pytest.raises(IsaError):
+            cpu.alu(True)
+
+    def test_negative_alu_fails_the_program(self):
+        def program(t):
+            yield t.alu(-5)
+            yield t.alu(2)
+
+        machine = Machine(functional_config(n_cpus=1))
+        machine.add_thread(program)
+        with pytest.raises(IsaError, match="got -5"):
+            machine.run()
+        assert machine.cpus[0].instructions == 0
+
+    def test_zero_and_positive_cycles_still_count(self):
+        def program(t):
+            yield t.alu(0)
+            yield t.alu(2)
+            yield O.Alu(3)
+
+        machine = run_one(program)
+        assert machine.cpus[0].instructions == 5
+        assert machine.now == 1 + 2 + 3

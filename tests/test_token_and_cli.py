@@ -99,6 +99,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert "commit" in out and "events shown" in out
 
+    def test_trace_metrics_carry_a_manifest(self, tmp_path, capsys):
+        import json
+        import platform
+
+        out = tmp_path / "metrics.json"
+        code = self.run_cli(
+            ["trace", "litmus-sb", "--seed", "3", "--limit", "5",
+             "--metrics", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["counters"]
+        manifest = data["manifest"]
+        assert manifest["seed"] == 3
+        assert manifest["args"]["target"] == "litmus-sb"
+        assert manifest["args"]["config"] == "lazy-wb-assoc"
+        assert manifest["python"] == platform.python_version()
+        # Same config, same digest; another config, another digest.
+        other = tmp_path / "other.json"
+        self.run_cli(["trace", "litmus-sb", "--seed", "3", "--limit", "5",
+                      "--config", "eager-wb", "--metrics",
+                      str(other)])
+        assert (json.loads(other.read_text())["manifest"]["config_sha256"]
+                != manifest["config_sha256"])
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             self.run_cli(["profile", "minesweeper"])

@@ -211,7 +211,14 @@ class TestExport:
         import json
 
         data = json.loads(out.read_text())
-        assert any(entry["name"] == "mp3d" for entry in data)
+        assert any(entry["name"] == "mp3d" for entry in data["bars"])
+        manifest = data["manifest"]
+        assert manifest["seed"] == 1
+        assert manifest["args"]["cpus"] == 2
+        assert manifest["args"]["scale"] == 0.25
+        assert len(manifest["config_sha256"]) == 64
+        assert set(manifest) == {
+            "git_rev", "python", "config_sha256", "seed", "args"}
 
 
 class TestApiDocsGenerator:
