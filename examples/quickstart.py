@@ -34,11 +34,11 @@ def main():
 
     def transfer(t, src, dst, amount):
         """One atomic transfer: the body re-executes if violated."""
-        balance = yield from accounts.get(t, src)
+        balance = yield accounts.load(t, src)
         yield t.alu(10)                      # fee calculation, say
-        yield from accounts.set(t, src, balance - amount)
-        balance = yield from accounts.get(t, dst)
-        yield from accounts.set(t, dst, balance + amount)
+        yield accounts.store(t, src, balance - amount)
+        balance = yield accounts.load(t, dst)
+        yield accounts.store(t, dst, balance + amount)
 
     def teller(t, plan):
         for src, dst, amount in plan:

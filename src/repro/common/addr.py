@@ -27,10 +27,18 @@ PRIVATE_BASE = 0x4000_0000
 PRIVATE_SPAN = 0x0100_0000
 
 
+def fmt_addr(addr):
+    """Format ``addr`` for an error message, non-integers included.
+
+    Hex for an integer, else its repr, so a message about a bad address
+    cannot itself fail."""
+    return f"{addr:#x}" if isinstance(addr, int) else repr(addr)
+
+
 def check_word_aligned(addr):
     """Raise :class:`MemoryError_` unless ``addr`` is word-aligned."""
     if addr % WORD_SIZE:
-        raise MemoryError_(f"unaligned word access at {addr:#x}")
+        raise MemoryError_(f"unaligned word access at {fmt_addr(addr)}")
     return addr
 
 
@@ -62,5 +70,5 @@ def is_private(addr):
 def owner_of_private(addr):
     """CPU id owning a private address."""
     if not is_private(addr):
-        raise MemoryError_(f"{addr:#x} is not a private address")
+        raise MemoryError_(f"{fmt_addr(addr)} is not a private address")
     return (addr - PRIVATE_BASE) // PRIVATE_SPAN

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.common.addr import fmt_addr
 from repro.common.errors import MemoryError_
 from repro.common.params import WORD_SIZE
 
@@ -194,7 +195,7 @@ class WriteBufferVersioning(VersionManagerBase):
         # keys were checked by tx_store, so an unaligned address misses
         # every buffer and raises the same error either way.
         if addr % WORD_SIZE:
-            raise MemoryError_(f"unaligned word access at {addr:#x}")
+            raise MemoryError_(f"unaligned word access at {fmt_addr(addr)}")
         buffers = self._buffers
         for lvl in self._levels_desc:
             if lvl > level:
@@ -208,7 +209,7 @@ class WriteBufferVersioning(VersionManagerBase):
         # The buffer write bypasses MemoryImage, so guard alignment here
         # (inlined: this backs every speculative store).
         if addr % WORD_SIZE:
-            raise MemoryError_(f"unaligned word access at {addr:#x}")
+            raise MemoryError_(f"unaligned word access at {fmt_addr(addr)}")
         self._buffers[level][addr] = value
         self.n_stores += 1
 

@@ -1,7 +1,10 @@
 """Typed word arrays over simulated memory.
 
-All accessors are generator functions: they yield simulated loads/stores
-so array traffic participates in caching, conflict detection, and timing.
+The accessors are plain functions returning the simulated load or store
+op, so a program issues it with a single ``yield``
+(``value = yield grid.load(t, i)``) and array traffic participates in
+caching, conflict detection and timing.  ``add`` issues two ops and is a
+generator (``yield from``).
 """
 
 from __future__ import annotations
@@ -26,30 +29,36 @@ class WordArray:
             values = [initial] * length
         self.base = arena.alloc_block(values, line_align=line_align)
 
+    # load and store repeat addr's index check and address math inline:
+    # they back most workload loads and stores.  The class test rejects
+    # floats and bools, which would otherwise reach memory as
+    # non-integer addresses.
+
     def addr(self, index):
-        if not 0 <= index < self.length:
-            self._out_of_range(index)
+        """The byte address of element ``index``."""
+        if index.__class__ is not int or not 0 <= index < self.length:
+            self._bad_index(index)
         return self.base + index * self._stride
 
-    def _out_of_range(self, index):
+    def _bad_index(self, index):
+        if index.__class__ is not int:
+            raise MemoryError_(f"array index {index!r} is not an int")
         raise MemoryError_(
             f"array index {index} out of range [0, {self.length})")
 
     # -- transactional accessors ------------------------------------------------
 
-    # get/set compute the address inline (same bounds check as addr):
-    # they back most workload loads and stores.
+    def load(self, t, index):
+        """The load op for element ``index``."""
+        if index.__class__ is not int or not 0 <= index < self.length:
+            self._bad_index(index)
+        return t.load(self.base + index * self._stride)
 
-    def get(self, t, index):
-        if not 0 <= index < self.length:
-            self._out_of_range(index)
-        value = yield t.load(self.base + index * self._stride)
-        return value
-
-    def set(self, t, index, value):
-        if not 0 <= index < self.length:
-            self._out_of_range(index)
-        yield t.store(self.base + index * self._stride, value)
+    def store(self, t, index, value):
+        """The store op writing ``value`` to element ``index``."""
+        if index.__class__ is not int or not 0 <= index < self.length:
+            self._bad_index(index)
+        return t.store(self.base + index * self._stride, value)
 
     def add(self, t, index, delta):
         """Read-modify-write; returns the new value."""
@@ -61,12 +70,13 @@ class WordArray:
 
     # -- immediate accessors (private/read-only data, §4.7) ---------------------
 
-    def im_get(self, t, index):
-        value = yield t.imld(self.addr(index))
-        return value
+    def im_load(self, t, index):
+        """The immediate-load op for element ``index``."""
+        return t.imld(self.addr(index))
 
-    def im_set(self, t, index, value):
-        yield t.imst(self.addr(index), value)
+    def im_store(self, t, index, value):
+        """The immediate-store op writing ``value`` to element ``index``."""
+        return t.imst(self.addr(index), value)
 
 
 class LineArray(WordArray):

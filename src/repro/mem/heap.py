@@ -19,6 +19,7 @@ so concurrent allocations conflict exactly as they would on real TM.
 
 from __future__ import annotations
 
+from repro.common.addr import fmt_addr
 from repro.common.errors import HeapError
 from repro.common.params import WORD_SIZE
 
@@ -69,7 +70,8 @@ class SharedHeap:
         """Return a block to the free list."""
         block = payload_addr - _HDR_WORDS * WORD_SIZE
         if not self.base <= block < self.limit:
-            raise HeapError(f"free of non-heap address {payload_addr:#x}")
+            raise HeapError(
+                f"free of non-heap address {fmt_addr(payload_addr)}")
         head = yield t.load(self.free_head_addr)
         yield t.store(block + WORD_SIZE, head)
         yield t.store(self.free_head_addr, block)

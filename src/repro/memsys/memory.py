@@ -7,6 +7,7 @@ zero-filled physical pages.
 
 from __future__ import annotations
 
+from repro.common.addr import fmt_addr
 from repro.common.errors import MemoryError_
 from repro.common.params import WORD_SIZE
 
@@ -27,13 +28,13 @@ class MemoryImage:
     def read(self, addr):
         """Read the word at ``addr`` (0 if never written)."""
         if addr % WORD_SIZE:
-            raise MemoryError_(f"unaligned word access at {addr:#x}")
+            raise MemoryError_(f"unaligned word access at {fmt_addr(addr)}")
         return self._words.get(addr, 0)
 
     def write(self, addr, value):
         """Write ``value`` to the word at ``addr``."""
         if addr % WORD_SIZE:
-            raise MemoryError_(f"unaligned word access at {addr:#x}")
+            raise MemoryError_(f"unaligned word access at {fmt_addr(addr)}")
         self._words[addr] = value
 
     def write_words(self, words):

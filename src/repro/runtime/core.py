@@ -78,22 +78,37 @@ class Runtime:
     # ------------------------------------------------------------------
 
     def spawn(self, program, *args, cpu_id=None, daemon=False):
-        """Run ``program(t, *args)`` as a thread under this runtime."""
+        """Run ``program(t, *args)`` as a thread under this runtime.
+
+        The thread's bring-up (runtime state, dispatcher code ids, TCB
+        pointers) happens here, and its first instruction, the
+        initialization ``alu``, is pre-parked: the engine issues it
+        without a generator resume, then resumes ``program``'s own
+        generator directly, with no wrapper frame in between.  A spawn
+        that fails leaves the CPU's runtime state as it found it."""
         def factory(t):
-            return self._thread_main(t, program, args)
+            isa = t.isa
+            saved = (t.rt, isa.xvhcode, isa.xahcode, isa.xchcode,
+                     isa.xtcbptr_base, isa.xtcbptr_top)
+            t.rt = RtState(self, t)
+            isa.xvhcode = self._vh_id
+            isa.xahcode = self._ah_id
+            isa.xchcode = self._ch_id
+            isa.xtcbptr_base = tcb.tcb_stack_base(t.cpu_id)
+            isa.xtcbptr_top = isa.xtcbptr_base
+            gen = None
+            try:
+                gen = program(t, *args)
+            finally:
+                # add_thread rejects anything but a generator.
+                if not hasattr(gen, "send"):
+                    (t.rt, isa.xvhcode, isa.xahcode, isa.xchcode,
+                     isa.xtcbptr_base, isa.xtcbptr_top) = saved
+            return gen
 
-        return self.machine.add_thread(factory, cpu_id=cpu_id, daemon=daemon)
-
-    def _thread_main(self, t, program, args):
-        t.rt = RtState(self, t)
-        t.isa.xvhcode = self._vh_id
-        t.isa.xahcode = self._ah_id
-        t.isa.xchcode = self._ch_id
-        t.isa.xtcbptr_base = tcb.tcb_stack_base(t.cpu_id)
-        t.isa.xtcbptr_top = t.isa.xtcbptr_base
-        yield t.alu()  # thread initialization
-        result = yield from program(t, *args)
-        return result
+        cpu = self.machine.add_thread(factory, cpu_id=cpu_id, daemon=daemon)
+        cpu.parked[0] = cpu.alu()  # thread initialization
+        return cpu
 
     # ------------------------------------------------------------------
     # Transaction begin / commit (calibrated sequences)

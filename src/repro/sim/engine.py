@@ -26,6 +26,7 @@ architecture:
 from __future__ import annotations
 
 import heapq
+import sys
 
 from repro.common.errors import (
     CapacityAbort,
@@ -232,9 +233,10 @@ class Machine:
         # stay attribute probes so instruments and fault injectors that
         # rebind them mid-run keep working.
         cpus = self.cpus
-        heappush = heapq.heappush
         heappop = heapq.heappop
+        heappushpop = heapq.heappushpop
         choose = self.policy.choose
+        step_cap = max_steps if max_steps is not None else sys.maxsize
         steps = 0
         try:
             while self._live_programs > 0:
@@ -269,14 +271,20 @@ class Machine:
                     ]
                     raise DeadlockError(
                         f"all threads waiting at cycle {self.now}: {waiting}")
+                # Only this loop advances ``now`` during a run, so the
+                # cycle cap is checked here (a machine that starts past
+                # it) and wherever ``now`` moves below.
+                if self.now > max_cycles:
+                    raise SimulationError(
+                        f"simulation exceeded {max_cycles} cycles")
                 while True:
                     if cpu.resume_at > self.now:
                         self.now = cpu.resume_at
-                    if self.now > max_cycles:
-                        raise SimulationError(
-                            f"simulation exceeded {max_cycles} cycles")
+                        if self.now > max_cycles:
+                            raise SimulationError(
+                                f"simulation exceeded {max_cycles} cycles")
                     steps += 1
-                    if max_steps is not None and steps > max_steps:
+                    if steps > step_cap:
                         raise SimulationError(
                             f"simulation exceeded {max_steps} steps")
                     self._step(cpu)
@@ -294,19 +302,28 @@ class Machine:
                     if not (use_heap and cpu.state == RUNNABLE
                             and cpu.frames):
                         break
+                    if self._live_programs <= 0:
+                        break
                     # Run-ahead: when no ready entry could be popped
                     # before this CPU's next step — (resume_at, cpu_id)
                     # heap order, so the comparison *is* the scheduling
-                    # decision — step it again without the push/pop
-                    # round-trip.  An equal head entry is this CPU's own
-                    # stale entry (same key = same cpu_id); anything
-                    # smaller wins the pop, so park our entry and yield.
+                    # decision — step it again without touching the
+                    # heap.  An equal head entry is this CPU's own stale
+                    # entry (same key = same cpu_id).  A smaller head
+                    # wins: one heappushpop parks our entry and takes
+                    # the head, which is the switch when it is valid; a
+                    # stale head is dropped and the pop loop above goes
+                    # on.  Equal entries are identical tuples, so the
+                    # pop order is the push-then-pop order.
                     ready = self._ready
                     entry = (cpu.resume_at, cpu.cpu_id)
                     if ready and ready[0] < entry:
-                        heappush(ready, entry)
-                        break
-                    if self._live_programs <= 0:
+                        resume_at, cpu_id = heappushpop(ready, entry)
+                        candidate = cpus[cpu_id]
+                        if (candidate.state == RUNNABLE and candidate.frames
+                                and candidate.resume_at == resume_at):
+                            cpu = candidate
+                            continue
                         break
         finally:
             # Failed runs (DeadlockError, cycle overrun, workload

@@ -79,8 +79,8 @@ class DetectionStressKernel(Workload):
             base = self.depth + 1
             for j in range(self.burst):
                 yield t.store(addrs[base + j % window], j)
-            value = yield from self.accum.get(t, 0)
-            yield from self.accum.set(t, 0, value + 1)
+            value = yield self.accum.load(t, 0)
+            yield self.accum.store(t, 0, value + 1)
 
     def verify(self, machine):
         got = machine.memory.read(self.accum.addr(0))

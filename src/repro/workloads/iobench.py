@@ -51,9 +51,9 @@ class IoLogWorkload(Workload):
     def _body(self, t, tid, i):
         scratch = self.scratch[tid]
         for j in range(self.PRIVATE_WORK):
-            value = yield from scratch.get(t, j % scratch.length)
+            value = yield scratch.load(t, j % scratch.length)
             yield t.alu(self.WORK_ALU // self.PRIVATE_WORK)
-            yield from scratch.set(t, j % scratch.length, value + 1)
+            yield scratch.store(t, j % scratch.length, value + 1)
         yield from self.io.write(t, self.log, [tid * 1_000_000 + i])
 
     def verify(self, machine):

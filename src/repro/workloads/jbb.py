@@ -127,11 +127,6 @@ class JbbWorkload(Workload):
             yield from rt.atomic(t, body, plan)
         return tid
 
-    def _nested(self, t, body, *args):
-        """A transparent library call: closed-nested transaction."""
-        result = yield from self._runtime.atomic(t, body, *args)
-        return result
-
     def _bump_counter(self, t):
         oid = yield t.load(self.order_id_addr)
         yield t.store(self.order_id_addr, oid + 1)
@@ -157,11 +152,13 @@ class JbbWorkload(Workload):
         return oid
 
     def _new_order(self, t, plan):
+        # Each nested library call is a closed-nested transaction.
+        rt = self._runtime
         # Customer credit check (tree search, nested library call).
         def find(t):
             value = yield from self.customers.lookup(t, plan["customer"])
             return value
-        balance = yield from self._nested(t, find)
+        balance = yield from rt.atomic(t, find)
         if balance is None:
             raise ReproError("missing customer row")
         # Business logic (pricing, validation): long and private.
@@ -171,31 +168,33 @@ class JbbWorkload(Workload):
             result = yield from self.stock.update(t, item, -1)
             return result
         for item in plan["items"][:-1]:
-            yield from self._nested(t, take, item)
+            yield from rt.atomic(t, take, item)
         yield t.alu(self.BUSINESS_ALU // 4)
         # Create the order (ID generation + record, a nested library
         # call), then finish the remaining line item and paperwork.  The
         # closed variant keeps the merged counter read in the parent
         # read-set across this tail; the open variant does not.
-        yield from self._nested(t, self._create_order, plan["customer"])
-        yield from self._nested(t, take, plan["items"][-1])
+        yield from rt.atomic(t, self._create_order, plan["customer"])
+        yield from rt.atomic(t, take, plan["items"][-1])
         yield t.alu(self.BUSINESS_ALU // 8)
 
     def _payment(self, t, plan):
+        rt = self._runtime
         def pay(t):
             result = yield from self.customers.update(
                 t, plan["customer"], plan["amount"])
             return result
         yield t.alu(self.BUSINESS_ALU // 2)
-        yield from self._nested(t, pay)
+        yield from rt.atomic(t, pay)
         yield t.alu(self.BUSINESS_ALU // 2)
 
     def _status(self, t, plan):
+        rt = self._runtime
         def look(t):
             balance = yield from self.customers.lookup(t, plan["customer"])
             order = yield from self.orders.lookup(t, plan["probe"])
             return balance, order
-        result = yield from self._nested(t, look)
+        result = yield from rt.atomic(t, look)
         yield t.alu(self.BUSINESS_ALU)
         return result
 

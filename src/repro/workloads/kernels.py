@@ -118,14 +118,16 @@ class ReductionKernel(Workload):
         # Variable-duration private compute (see ``jitter``).
         yield t.alu(1 + step["jitter"])
         # Private compute phase: long and conflict-free.
+        work = t.alu(self.work_alu)
         for j in range(self.outer_work):
-            value = yield from grid.get(t, j)
-            yield t.alu(self.work_alu)
-            yield from grid.set(t, j, value + 1)
+            value = yield grid.load(t, j)
+            yield work
+            yield grid.store(t, j, value + 1)
         # Shared read-only traversal (tree codes).
         acc = 0
+        tree = self.tree
         for index in step["tree"]:
-            acc += yield from self.tree.get(t, index)
+            acc += yield tree.load(t, index)
             yield t.alu(1)
         # Collision updates: one closed-nested transaction touching the
         # shared cells this particle/molecule interacts with, near the end
@@ -140,10 +142,12 @@ class ReductionKernel(Workload):
             yield from rt.atomic(t, self._reduction_body)
 
     def _collisions_body(self, t, cells):
+        pool = self.cells
+        collide = t.alu(self.collision_alu)
         for cell in cells:
-            value = yield from self.cells.get(t, cell)
-            yield t.alu(self.collision_alu)
-            yield from self.cells.set(t, cell, value + 1)
+            value = yield pool.load(t, cell)
+            yield collide
+            yield pool.store(t, cell, value + 1)
 
     def _reduction_body(self, t):
         for r in range(self.n_reductions):

@@ -4,7 +4,7 @@ hash map, and host execution."""
 import pytest
 
 from repro.common.errors import HeapError, MemoryError_, TxAborted
-from repro.common.params import functional_config
+from repro.common.params import functional_config, paper_config
 from repro.mem.array import LineArray, WordArray
 from repro.mem.hashmap import HashMap
 from repro.mem.heap import SharedHeap
@@ -67,8 +67,8 @@ class TestArrays:
         array = WordArray(arena, 4, initial=[10, 20, 30, 40])
 
         def body(t):
-            value = yield from array.get(t, 1)
-            yield from array.set(t, 2, value + 1)
+            value = yield array.load(t, 1)
+            yield array.store(t, 2, value + 1)
             total = yield from array.add(t, 3, 5)
             return total
 
@@ -80,6 +80,131 @@ class TestArrays:
         machine.run()
         assert machine.results()[0] == 45
         assert machine.memory.read(array.addr(2)) == 21
+
+
+    def test_immediate_accessors(self):
+        machine, runtime, arena = build(1)
+        array = LineArray(arena, 2, initial=[4, 9])
+
+        def program(t):
+            value = yield array.im_load(t, 1)
+            yield array.im_store(t, 0, value * 2)
+            return value
+
+        runtime.spawn(program)
+        machine.run()
+        assert machine.results()[0] == 9
+        assert machine.memory.read(array.addr(0)) == 18
+
+
+# Each accessor with its trailing arguments after the index.
+ACCESSORS = {
+    "load": (),
+    "store": (1,),
+    "im_load": (),
+    "im_store": (1,),
+    "add": (1,),
+}
+
+
+class TestArrayIndexTypes:
+    """A non-``int`` index (bools included) is a typed ``MemoryError_``
+    on every accessor and on ``addr``.  Before, ``2.5`` crashed the
+    alignment check's own message with a ``ValueError``, ``2.0`` reached
+    the paper machine's caches as a raw ``TypeError`` escaping
+    ``Machine.run``, and on the functional machine ``2.0`` ran silently
+    with a float address."""
+
+    BAD = [2.5, 2.0, True, False, "1", None]
+
+    @pytest.mark.parametrize("index", BAD, ids=repr)
+    @pytest.mark.parametrize("cls", [WordArray, LineArray])
+    def test_addr_rejects(self, cls, index):
+        machine, _, arena = build(1)
+        with pytest.raises(MemoryError_, match="is not an int"):
+            cls(arena, 4).addr(index)
+
+    @pytest.mark.parametrize("index", BAD, ids=repr)
+    @pytest.mark.parametrize("accessor", sorted(ACCESSORS))
+    @pytest.mark.parametrize("make_config", [functional_config, paper_config],
+                             ids=["functional", "paper"])
+    def test_accessors_reject_inside_a_run(self, make_config, accessor,
+                                           index):
+        machine = Machine(make_config(n_cpus=1))
+        runtime = Runtime(machine)
+        arena = SharedArena(machine)
+        array = WordArray(arena, 4, initial=[1, 2, 3, 4])
+        method = getattr(array, accessor)
+        extra = ACCESSORS[accessor]
+
+        def body(t):
+            if accessor == "add":
+                yield from method(t, index, *extra)
+            else:
+                yield method(t, index, *extra)
+
+        def program(t):
+            yield from runtime.atomic(t, body)
+
+        runtime.spawn(program)
+        with pytest.raises(MemoryError_, match="is not an int"):
+            machine.run()
+        # Nothing reached memory: the four words are untouched.
+        assert [machine.memory.read(array.addr(i))
+                for i in range(4)] == [1, 2, 3, 4]
+
+    def test_out_of_range_message_unchanged(self):
+        machine, _, arena = build(1)
+        with pytest.raises(MemoryError_, match=r"index 4 out of range"):
+            WordArray(arena, 4).load(None, 4)
+
+
+class TestAddressMessages:
+    """Error messages about a bad address format non-integers with
+    ``repr`` instead of failing inside the f-string."""
+
+    def test_memory_image(self):
+        from repro.memsys.memory import MemoryImage
+
+        image = MemoryImage()
+        with pytest.raises(MemoryError_, match="at 2.5"):
+            image.read(2.5)
+        with pytest.raises(MemoryError_, match="at 2.5"):
+            image.write(2.5, 1)
+
+    def test_address_helpers(self):
+        from repro.common.addr import check_word_aligned, owner_of_private
+
+        with pytest.raises(MemoryError_, match="at 2.5"):
+            check_word_aligned(2.5)
+        with pytest.raises(MemoryError_, match="0x10 is not a private"):
+            owner_of_private(16)
+        with pytest.raises(MemoryError_, match="2.5 is not a private"):
+            owner_of_private(2.5)
+
+    def test_write_buffer(self):
+        from repro.common.stats import Stats
+        from repro.htm.versioning import WriteBufferVersioning
+        from repro.memsys.memory import MemoryImage
+
+        versioning = WriteBufferVersioning(
+            functional_config(), MemoryImage(), Stats())
+        versioning.begin_level(1)
+        with pytest.raises(MemoryError_, match="at 2.5"):
+            versioning.tx_load(1, 2.5)
+        with pytest.raises(MemoryError_, match="at 2.5"):
+            versioning.tx_store(1, 2.5, 1)
+
+    def test_heap_free(self):
+        machine, runtime, arena = build(1)
+        heap = SharedHeap(arena, 64)
+
+        def program(t):
+            yield from heap.free(t, 2.5)
+
+        runtime.spawn(program)
+        with pytest.raises(HeapError, match="address 2.5"):
+            machine.run()
 
 
 class TestQueue:

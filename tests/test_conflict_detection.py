@@ -81,10 +81,8 @@ class TestLazySemantics:
             yield from runtime.atomic(t, body)
             events.append("fast-done")
 
-        machine.add_thread(lambda t: runtime._thread_main(t, slow, ()),
-                           cpu_id=0)
-        machine.add_thread(lambda t: runtime._thread_main(t, fast, ()),
-                           cpu_id=1)
+        runtime.spawn(slow, cpu_id=0)
+        runtime.spawn(fast, cpu_id=1)
         machine.run()
         assert events == ["fast-done", "slow-done"]
         assert machine.memory.read(SHARED) == 11

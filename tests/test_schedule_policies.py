@@ -34,7 +34,12 @@ from repro.sim.schedule import (
     make_policy,
     window_candidates,
 )
-from repro.workloads import Mp3dKernel
+from repro.workloads import (
+    CondSyncWorkload,
+    DetectionStressKernel,
+    JbbWorkload,
+    Mp3dKernel,
+)
 
 
 class FakeCpu:
@@ -81,21 +86,85 @@ def test_deterministic_choice_is_earliest_then_lowest_id():
     assert policy.choose(cpus).cpu_id == 1
 
 
+class ScanningDeterministicPolicy(DeterministicPolicy):
+    """The deterministic pick through ``choose`` on the scanned list."""
+
+    uses_ready_heap = False
+
+
+def _assert_heap_equals_scan(make_workload, config):
+    heap = make_workload().run(config)
+    scan = make_workload().run(config, policy=ScanningDeterministicPolicy())
+    assert heap.stats.get("cycles") == scan.stats.get("cycles")
+    assert heap.stats.get("engine.steps") == scan.stats.get("engine.steps")
+    assert heap.results() == scan.results()
+    assert ([cpu.instructions for cpu in heap.cpus]
+            == [cpu.instructions for cpu in scan.cpus])
+
+
 def test_heap_and_scan_schedules_are_bit_for_bit_identical():
     """The engine serves DeterministicPolicy from its (resume_at, cpu_id)
     ready heap; ``choose`` remains the executable specification.  Forcing
     the scan path (``uses_ready_heap = False``) must reproduce the exact
-    same run — cycles and results both."""
+    same run — cycles, steps, results and per-CPU instructions."""
+    _assert_heap_equals_scan(
+        lambda: Mp3dKernel(n_threads=4), paper_config(n_cpus=4))
 
-    class ScanningDeterministicPolicy(DeterministicPolicy):
-        uses_ready_heap = False
 
-    heap = Mp3dKernel(n_threads=4).run(paper_config(n_cpus=4))
-    scan = Mp3dKernel(n_threads=4).run(
-        paper_config(n_cpus=4), policy=ScanningDeterministicPolicy())
-    assert heap.stats.get("cycles") == scan.stats.get("cycles")
-    assert heap.stats.get("engine.steps") == scan.stats.get("engine.steps")
-    assert heap.results() == scan.results()
+@pytest.mark.parametrize("make_workload, config", [
+    # 16 CPUs with eager stalls: the run-ahead loop hands the CPU over
+    # through heappushpop on most steps.
+    (lambda: DetectionStressKernel(n_threads=16),
+     functional_config(n_cpus=16, **DetectionStressKernel.config_overrides)),
+    # Park/wake: a parked CPU leaves the heap, and ``wake`` pushes it
+    # back mid-run.
+    (lambda: CondSyncWorkload(n_pairs=2),
+     paper_config(n_cpus=5)),
+    # Open nesting, partial rollback and B-tree working sets on 8 CPUs.
+    (lambda: JbbWorkload(n_threads=8, variant="open", scale=0.5),
+     paper_config(n_cpus=8)),
+], ids=["detstress-eager-x16", "condsync-x2", "jbb-open-x8"])
+def test_heap_and_scan_agree_on_switch_heavy_runs(make_workload, config):
+    _assert_heap_equals_scan(make_workload, config)
+
+
+def test_heap_and_scan_agree_when_queued_cpus_are_retimed():
+    """Stale heap entries: every third step, a step hook sends each
+    queued CPU to sleep and wakes it again, which moves its resume_at and
+    leaves its old entry in the heap.  The switch's one ``heappushpop``
+    must drop such a head exactly as the pop loop does, so the heap and
+    scan paths take the same (cycle, cpu) steps."""
+    from repro.isa.context import RUNNABLE, WAITING
+    from repro.sim import ops as O
+
+    def program(latencies):
+        def run(t):
+            for i in range(60):
+                yield O.Alu(latencies[i % len(latencies)])
+            return latencies
+        return run
+
+    def steps(policy):
+        machine = Machine(functional_config(n_cpus=3), policy=policy)
+        for cpu_id, latencies in enumerate([(1, 2), (1, 1, 3), (2, 1)]):
+            machine.add_thread(program(latencies), cpu_id=cpu_id)
+        taken = []
+
+        def retime(cpu):
+            taken.append((machine.now, cpu.cpu_id))
+            if len(taken) % 3:
+                return
+            for other in machine.cpus:
+                if (other is not cpu and other.state == RUNNABLE
+                        and other.frames):
+                    other.state = WAITING
+                    machine.wake(other.cpu_id)
+
+        machine.step_hook = retime
+        machine.run()
+        return taken, machine.results()
+
+    assert steps(None) == steps(ScanningDeterministicPolicy())
 
 
 # ---------------------------------------------------------------------------
